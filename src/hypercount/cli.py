@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -79,6 +80,8 @@ def _parse_bound(text: str) -> float:
         value = float(text)
     except ValueError as exc:
         raise _UsageError(f"invalid height bound {text!r}") from exc
+    if not math.isfinite(value):
+        raise _UsageError(f"height bound must be finite, got {text!r}")
     return value
 
 
@@ -221,14 +224,15 @@ def _cmd_toric(args: argparse.Namespace) -> dict:
 
 
 def _cmd_verify(args: argparse.Namespace) -> dict:
+    B = _parse_bound(args.B)
     results = verify.run_suite(
-        args.suite, n=args.n, B=_parse_bound(args.B), shards=args.shards,
+        args.suite, n=args.n, B=B, shards=args.shards,
         seed=args.seed, heavy=args.heavy,
         log=lambda line: print(line, file=sys.stderr))
     failed = [r.name for r in results if not r.ok]
     report = {
         "command": "verify", "suite": args.suite, "n": args.n,
-        "B": _parse_bound(args.B), "shards": args.shards, "seed": args.seed,
+        "B": B, "shards": args.shards, "seed": args.seed,
         "heavy": args.heavy,
         "checks": [{"name": r.name, "ok": r.ok, "detail": r.detail}
                    for r in results],

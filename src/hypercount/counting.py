@@ -30,11 +30,13 @@ import numpy as np
 from .errors import ContractViolation, PrimitivityError
 from .factorization import (bit, dimension_of, factorize, is_reduced,
                             members, weight)
-from .lattice import count_zero_sum, count_zero_sum_boxes
+from .lattice import count_zero_sum, count_zero_sum_rows
 
 WORKERS_ENV = "HYPERCOUNT_WORKERS"
 
 METHODS = ("direct", "moebius", "torsor")
+
+_LEAF_ROWS = 256  # weighted rows a torsor shard queues per kernel call
 
 
 # ------------------------------ arithmetic ------------------------------
@@ -326,47 +328,52 @@ def _torsor_shard(n: int, X: int, shard: int, shards: int) -> int:
     products.  The top variable carries no coprimality constraint, so its
     range [1, Z] is closed in one divisor sum: for each squarefree m,
     mu(m) * floor(Z/m) * #{x' : m | x'_j z_{2^{j-1}} for all j} where the
-    inner count is a box-restricted zero-sum count.
+    inner count is a box-restricted zero-sum count.  Leaves queue those
+    counts as weighted rows, counted _LEAF_ROWS at a time by the row
+    kernel.
     """
     N = (1 << n) - 1
-    mu = mobius_sieve(X)
+    mu = mobius_sieve(X).tolist()
     order = sorted(range(1, N), key=lambda h: (-weight(h), h))
     mem = {h: members(h, n) for h in order}
+    # cofactor indices (0-based) that a z_h with |h| >= 2 multiplies
+    off = {h: [j - 1 for j in range(1, n + 1) if not bit(h, j)]
+           if weight(h) >= 2 else [] for h in order}
     incomp = {h: [l for l in order if not (h & l == h or h & l == l)] for h in order}
     z = [1] * (N + 1)  # 1-based
     ypart = [1] * (n + 1)
+    cof = [1] * n  # cof[j-1] = prod of z_h over |h| >= 2, j not in h
+    row_coeffs: list[list[int]] = []
+    row_limits: list[list[int]] = []
+    row_weights: list[int] = []
     total = 0
 
-    def leaf() -> int:
-        Z = min(X // ypart[j] for j in range(1, n + 1))
-        cof = [1] * (n + 1)
-        for h in order:
-            v = z[h]
-            if v > 1 and weight(h) >= 2:
-                for j in range(1, n + 1):
-                    if not bit(h, j):
-                        cof[j] *= v
-        zs = [z[(1 << (j - 1))] for j in range(1, n + 1)]
+    def flush() -> None:
+        nonlocal total
+        counts = count_zero_sum_rows(row_coeffs, row_limits)
+        total += sum(w * c for w, c in zip(row_weights, counts))
+        row_coeffs.clear()
+        row_limits.clear()
+        row_weights.clear()
+
+    def leaf() -> None:
+        Z = X // max(ypart)  # ypart[0] stays 1, below every ypart[j]
+        zs = [z[1 << j] for j in range(n)]
         boxes0 = [X // v for v in zs]
-        sub = 0
         for m in range(1, Z + 1):
             sign = mu[m]
             if not sign:
                 continue
             mj = [m // math.gcd(m, v) for v in zs]
-            boxes = [b // q for b, q in zip(boxes0, mj)]
-            if sum(1 for b in boxes if b > 0) <= 1:
-                cnt = 1
-            else:
-                cnt = count_zero_sum_boxes(
-                    [cof[j + 1] * mj[j] for j in range(n)], boxes)
-            sub += int(sign) * (Z // m) * cnt
-        return sub
+            row_coeffs.append([c * q for c, q in zip(cof, mj)])
+            row_limits.append([b // q for b, q in zip(boxes0, mj)])
+            row_weights.append(sign * (Z // m))
+            if len(row_weights) == _LEAF_ROWS:
+                flush()
 
     def dfs(idx: int) -> None:
-        nonlocal total
         if idx == len(order):
-            total += leaf()
+            leaf()
             return
         h = order[idx]
         cap = min(X // ypart[j] for j in mem[h])
@@ -386,13 +393,18 @@ def _torsor_shard(n: int, X: int, shard: int, shards: int) -> int:
             if v > 1:
                 for j in mem[h]:
                     ypart[j] *= v
+                for j in off[h]:
+                    cof[j] *= v
             dfs(idx + 1)
             if v > 1:
                 for j in mem[h]:
                     ypart[j] //= v
+                for j in off[h]:
+                    cof[j] //= v
             z[h] = 1
 
     dfs(0)
+    flush()
     return total
 
 
@@ -421,13 +433,26 @@ class CountReport:
         return (1 << self.n) - self.n - 1
 
 
+def _env_workers() -> int:
+    """Worker processes requested by HYPERCOUNT_WORKERS (unset or empty: 1)."""
+    text = os.environ.get(WORKERS_ENV) or "1"
+    try:
+        workers = int(text)
+    except ValueError:
+        raise ContractViolation(
+            f"{WORKERS_ENV} must be an integer, got {text!r}") from None
+    if workers < 1:
+        raise ContractViolation(f"{WORKERS_ENV} must be >= 1, got {workers}")
+    return workers
+
+
 def count_points(n: int, B: float, method: str = "direct", shards: int = 1) -> CountReport:
     """Number of qualifying points, N(B), with the chosen pipeline.
 
     All pipelines return identical values; ``shards`` partitions the
     outermost enumeration deterministically (the aggregate is independent
     of the partition).  Set HYPERCOUNT_WORKERS to run shards in parallel
-    processes.
+    processes, at most one per shard and per CPU.
     """
     if method not in METHODS:
         raise ContractViolation(f"unknown method {method!r}")
@@ -435,15 +460,15 @@ def count_points(n: int, B: float, method: str = "direct", shards: int = 1) -> C
         raise ContractViolation("n must be >= 3")
     if shards < 1:
         raise ContractViolation("shards must be >= 1")
+    workers = min(_env_workers(), shards, os.cpu_count() or 1)
     t0 = time.perf_counter()
     if B < 1:
         count = 0
     else:
         X = int_nth_root(math.floor(B), n)
         tasks = [(method, n, X, s, shards) for s in range(shards)]
-        workers = int(os.environ.get(WORKERS_ENV, "1") or "1")
-        if workers > 1 and shards > 1:
-            with ProcessPoolExecutor(max_workers=min(workers, shards)) as pool:
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 parts = list(pool.map(_run_shard, tasks))
         else:
             parts = [_run_shard(t) for t in tasks]

@@ -13,19 +13,26 @@ exactly, and evaluates the continuous main term X^{n-1} b / d_1 where b
 is the volume of the slab {alpha in [-1,1]^{n-1} : |sum_{i>=2} d_i
 alpha_i| <= d_1}.  Counts run in O(X^{n-2} polylog) by iterating all but
 two coordinates and closing the last two with a progression count.
+
+``count_zero_sum_boxes`` counts one box; ``count_zero_sum_rows`` counts
+a batch of boxes (rows) at once, laying the enumerated cells of all rows
+end to end so that many small rows share each numpy call.  Its working
+arrays never hold more than ``_ROW_CELLS`` cells, whatever the batch.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, ResourceLimit
 from .factorization import bit, dimension_of, is_reduced, weight
 
 # numpy paths stay in int64; anything bigger falls back to exact Python ints
@@ -186,23 +193,28 @@ def _pair_count_scalar(a: int, La: int, b: int, Lb: int, s: int) -> int:
     return _progression_count(u0, b_, lo, hi)
 
 
-def _pair_count_vec(a: int, La: int, b: int, Lb: int, s: np.ndarray) -> np.ndarray:
+def _pair_params(a: int, La: int, b: int, Lb: int) -> tuple[int, ...]:
+    """Arguments of ``_pair_count_vec`` for one pair: (a, La, b, Lb, g, b/g,
+    inverse of a/g modulo b/g), with g = gcd(a, b); the inverse is 0 when
+    b/g = 1, where every residue is 0."""
     g = math.gcd(a, b)
-    a_, b_ = a // g, b // g
+    bq = b // g
+    return a, La, b, Lb, g, bq, pow(a // g % bq, -1, bq)
+
+
+def _pair_count_vec(a, La, b, Lb, g, bq, inv, s: np.ndarray) -> np.ndarray:
+    """``_pair_count_scalar`` over an int64 array of targets s; the other
+    arguments (see ``_pair_params``) are scalars or arrays shaped like s."""
     ok = s % g == 0
-    sq = np.where(ok, s, 0) // g
-    if b_ > 1:
-        inv = pow(a_ % b_, -1, b_)
-        u0 = (sq % b_) * inv % b_
-    else:
-        u0 = np.zeros_like(sq)
+    u0 = (np.where(ok, s, 0) // g % bq) * inv % bq
     lo = np.maximum(-La, -((b * Lb - s) // a))
     hi = np.minimum(La, (s + b * Lb) // a)
-    cnt = (hi - u0) // b_ - (lo - u0 - 1) // b_
+    cnt = (hi - u0) // bq - (lo - u0 - 1) // bq
     return np.where(ok & (hi >= lo), cnt, 0)
 
 
 _CHUNK = 1 << 22  # flattened outer-grid cells per vectorized batch
+_ROW_CELLS = 1 << 12  # flattened outer cells per numpy step of count_zero_sum_rows
 
 
 def _outer_sum_chunks(outer: list[tuple[int, int]], base: int) -> "Iterator[np.ndarray]":
@@ -221,6 +233,33 @@ def _outer_sum_chunks(outer: list[tuple[int, int]], base: int) -> "Iterator[np.n
         yield from _outer_sum_chunks(rest, base - c * w)
 
 
+def _active_pairs(coeffs: Sequence[int], limits: Sequence[int]) -> list[tuple[int, int]]:
+    """Validated (L, c) pairs with L > 0, sorted so the two largest boxes
+    come last."""
+    if len(coeffs) != len(limits):
+        raise ContractViolation("coefficient/limit length mismatch")
+    if len(coeffs) and (min(coeffs) < 1 or min(limits) < 0):
+        raise ContractViolation("coefficients must be >= 1 and limits >= 0")
+    pairs = sorted(zip(limits, coeffs))
+    return pairs[bisect.bisect_left(pairs, (1,)):]
+
+
+def _fits_int64(active: list[tuple[int, int]]) -> bool:
+    """Whether every intermediate of the numpy path stays below _VEC_LIMIT."""
+    (_, b), (_, a) = active[-2:]
+    return (sum(itertools.starmap(operator.mul, active)) < _VEC_LIMIT
+            and max(a, b) ** 2 < _VEC_LIMIT)
+
+
+def _exact_count(a: int, La: int, b: int, Lb: int, outer: list[tuple[int, int]]) -> int:
+    """The zero-sum count with exact Python integers, one outer cell at a time."""
+    total = 0
+    for combo in itertools.product(*(range(-L, L + 1) for L, _ in outer)):
+        s = -sum(c * w for (_, c), w in zip(outer, combo))
+        total += _pair_count_scalar(a, La, b, Lb, s)
+    return total
+
+
 def count_zero_sum_boxes(coeffs: Sequence[int], limits: Sequence[int]) -> int:
     """#{w in Z^m : sum c_i w_i = 0, |w_i| <= L_i} for positive coefficients.
 
@@ -229,26 +268,94 @@ def count_zero_sum_boxes(coeffs: Sequence[int], limits: Sequence[int]) -> int:
     chunks).  Switches to exact Python integers when int64 could
     overflow.
     """
-    if len(coeffs) != len(limits):
-        raise ContractViolation("coefficient/limit length mismatch")
-    if any(c < 1 for c in coeffs) or any(L < 0 for L in limits):
-        raise ContractViolation("coefficients must be >= 1 and limits >= 0")
-    active = sorted(((L, c) for c, L in zip(coeffs, limits) if L > 0))
+    active = _active_pairs(coeffs, limits)
     if len(active) <= 1:
         return 1  # only the zero vector
-    (Lb, b), (La, a) = active[-2], active[-1]
+    (Lb, b), (La, a) = active[-2:]
     outer = active[:-2]
     if not outer:
         return _pair_count_scalar(a, La, b, Lb, 0)
-    reach = sum(L * c for L, c in active)
-    if reach < _VEC_LIMIT and max(a, b) ** 2 < _VEC_LIMIT:
-        return sum(int(_pair_count_vec(a, La, b, Lb, s).sum())
+    if _fits_int64(active):
+        pair = _pair_params(a, La, b, Lb)
+        return sum(int(_pair_count_vec(*pair, s).sum())
                    for s in _outer_sum_chunks(outer, 0))
-    total = 0
-    for combo in itertools.product(*(range(-L, L + 1) for L, _ in outer)):
-        s = -sum(c * w for (_, c), w in zip(outer, combo))
-        total += _pair_count_scalar(a, La, b, Lb, s)
-    return total
+    return _exact_count(a, La, b, Lb, outer)
+
+
+def count_zero_sum_rows(coeffs: Sequence[Sequence[int]],
+                        limits: Sequence[Sequence[int]]) -> list[int]:
+    """``count_zero_sum_boxes(coeffs[k], limits[k])`` for every row k.
+
+    Each row closes its two largest boxes by the progression count.  The
+    outer grids of all rows are laid end to end in one flat ragged index,
+    so rows of a few cells share their numpy calls: each step decodes at
+    most ``_ROW_CELLS`` consecutive cells into mixed-radix digits, counts
+    them, and sums them back per row with ``np.add.reduceat``.  A row
+    larger than the cap spans several steps.  Rows that could overflow
+    int64 take the exact Python-int path.
+    """
+    if len(coeffs) != len(limits):
+        raise ContractViolation("coefficient/limit row count mismatch")
+    counts = [1] * len(coeffs)
+    rows: list[int] = []
+    pairs: list[tuple[int, ...]] = []
+    outers: list[list[tuple[int, int]]] = []
+    for k, (cs, Ls) in enumerate(zip(coeffs, limits)):
+        active = _active_pairs(cs, Ls)
+        if len(active) <= 1:
+            continue
+        (Lb, b), (La, a) = active[-2:]
+        if not _fits_int64(active):
+            counts[k] = _exact_count(a, La, b, Lb, active[:-2])
+            continue
+        rows.append(k)
+        pairs.append(_pair_params(a, La, b, Lb))
+        outers.append(active[:-2])
+    if rows:
+        for k, cnt in zip(rows, _vec_rows(pairs, outers)):
+            counts[k] = cnt
+    return counts
+
+
+def _vec_rows(pairs: list[tuple[int, ...]],
+              outers: list[list[tuple[int, int]]]) -> list[int]:
+    """Row counts on the flat ragged grid of all rows' outer cells."""
+    R = len(pairs)
+    width = max(len(o) for o in outers)
+    pad = [(0, 0)] * width  # L = 0 is radix 1: a digit that is always 0
+    grid = np.array([o + pad[len(o):] for o in outers],
+                    dtype=np.int64).reshape(R, width, 2)
+    L, c = grid[..., 0].T, grid[..., 1].T
+    radix = 2 * L + 1
+    if radix.prod(axis=0, dtype=np.float64).sum() >= _VEC_LIMIT:
+        raise ResourceLimit("row batch has too many cells to enumerate")
+    ends = np.cumsum(radix.prod(axis=0))
+    starts = np.concatenate(([0], ends[:-1]))
+    # per row: the pair parameters, then (L, c, radix) of each outer coordinate
+    outer = np.stack([L, c, radix], axis=1).reshape(3 * width, R)
+    data = np.vstack([np.array(pairs, dtype=np.int64).T, outer])
+    totals = np.zeros(R, dtype=np.int64)
+    cells = int(ends[-1])
+    for t0 in range(0, cells, _ROW_CELLS):
+        t1 = min(t0 + _ROW_CELLS, cells)
+        lo = int(np.searchsorted(ends, t0, side="right"))
+        hi = int(np.searchsorted(starts, t1, side="left"))
+        span = np.minimum(ends[lo:hi], t1) - np.maximum(starts[lo:hi], t0)
+        r = np.repeat(np.arange(lo, hi), span)
+        cell = data[:, r]
+        digits = np.arange(t0, t1, dtype=np.int64) - starts[r]
+        s = np.zeros(t1 - t0, dtype=np.int64)
+        for j in range(width):
+            Lj, cj, rj = cell[7 + 3 * j:10 + 3 * j]
+            if j < width - 1:
+                digits, w = np.divmod(digits, rj)
+            else:
+                w = digits  # the most significant digit is what remains
+            s -= cj * (w - Lj)
+        cnt = _pair_count_vec(*cell[:7], s)
+        first = np.concatenate(([0], np.cumsum(span[:-1])))
+        totals[lo:hi] += np.add.reduceat(cnt, first)
+    return totals.tolist()
 
 
 def count_zero_sum(d: Sequence[int], X: int) -> int:

@@ -30,10 +30,15 @@ def reduced_by_definition(z: tuple[int, ...], n: int) -> bool:
                if incomparable(h, l, n))
 
 
+def grid_zero_sum_boxes(coeffs, limits) -> int:
+    grids = np.meshgrid(*[np.arange(-L, L + 1) for L in limits],
+                        indexing="ij", sparse=True)
+    total = sum(c * g for c, g in zip(coeffs, grids))
+    return int(np.sum(total == 0))
+
+
 def grid_zero_sum(d: tuple[int, ...], X: int) -> int:
-    grids = np.meshgrid(*[np.arange(-X, X + 1)] * len(d), indexing="ij", sparse=True)
-    total = sum(c * g for c, g in zip(d, grids))
-    return int((total == 0).sum())
+    return grid_zero_sum_boxes(d, [X] * len(d))
 
 
 def grid_congruence(d: tuple[int, ...], q: int, r: int, X: int) -> int:

@@ -3,7 +3,9 @@ import io
 import json
 import re
 
-from hypercount import cli
+import pytest
+
+from hypercount import cli, counting
 from hypercount.verify import CheckResult
 
 
@@ -123,6 +125,46 @@ def test_exit_code_usage_error(capsys):
     assert code == 1
     code, _, err = run_cli(capsys, "count", "--n", "2", "--B", "10")
     assert code == 1
+
+
+@pytest.mark.parametrize("bound", ["inf", "-inf", "nan", "1e400"])
+def test_non_finite_bound_is_a_usage_error(capsys, bound):
+    code, out, err = run_cli(capsys, "count", "--n", "3", f"--B={bound}")
+    assert code == 1 and out == "" and "height bound must be finite" in err
+    code, _, err = run_cli(capsys, "verify", "--suite", "lattice", f"--B={bound}")
+    assert code == 1 and "height bound must be finite" in err
+
+
+def test_workers_env_is_validated_and_capped(capsys, monkeypatch):
+    argv = ("count", "--n", "3", "--B", "100", "--shards", "3")
+    for bad in ("abc", "0", "-2", "1.5"):
+        monkeypatch.setenv(counting.WORKERS_ENV, bad)
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1 and counting.WORKERS_ENV in err
+
+    pools = []
+
+    class SerialPool:  # records the pool size and runs shards in process
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(counting, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
+    for env, shards, pool in (("64", "3", [2]), ("64", "1", []), ("1", "3", [])):
+        pools.clear()
+        monkeypatch.setenv(counting.WORKERS_ENV, env)
+        code, out, _ = run_cli(capsys, *argv[:-1], shards)
+        assert code == 0 and json.loads(out)["count"] == 6148
+        assert pools == pool
 
 
 def test_exit_code_resource_limit(capsys):

@@ -186,3 +186,11 @@ def test_methods_agree_moderate():
     assert len(set(vals3.values())) == 1
     vals4 = {m: count_points(4, 1000, m).count for m in ("direct", "moebius", "torsor")}
     assert len(set(vals4.values())) == 1
+
+
+@pytest.mark.parametrize("B, expect", [(243, 2033936), (1024, 17414256),
+                                       (3125, 62411376)])
+def test_methods_agree_n5(B, expect):
+    # X = 3, 4, 5; torsor leaves carry three outer coordinates per row
+    for method in ("direct", "moebius", "torsor"):
+        assert count_points(5, B, method).count == expect

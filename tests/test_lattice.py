@@ -1,17 +1,21 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hypercount.errors import ContractViolation
+from hypercount import lattice
+from hypercount.errors import ContractViolation, ResourceLimit
 from hypercount.factorization import factorize
-from hypercount.lattice import (count_congruence, count_solutions,
-                                count_zero_sum_boxes, lattice_coefficients,
+from hypercount.lattice import (_pair_count_scalar, count_congruence,
+                                count_solutions, count_zero_sum_boxes,
+                                count_zero_sum_rows, lattice_coefficients,
                                 slab_volume, slab_volume_float,
                                 solution_main_term, tuple_slab_volume)
 
-from oracles import grid_congruence, grid_zero_sum, mc_slab
+from oracles import (grid_congruence, grid_zero_sum, grid_zero_sum_boxes,
+                     mc_slab)
 from test_factorization import _random_reduced
 
 
@@ -119,16 +123,106 @@ def test_count_examples():
     assert count_congruence(z, 1, 2) == grid_congruence(co.d, co.d_joint(1), 1, 2)
 
 
+def _scalar_zero_sum_boxes(coeffs, limits):
+    """Close the last two coordinates (as given, unsorted) by the exact
+    pair count and enumerate the others."""
+    *outer, (a, La), (b, Lb) = zip(coeffs, limits)
+    total = 0
+    for ws in itertools.product(*(range(-L, L + 1) for _, L in outer)):
+        s = -sum(c * w for (c, _), w in zip(outer, ws))
+        total += _pair_count_scalar(a, La, b, Lb, s)
+    return total
+
+
+def _rows(cases):
+    return [c for c, _ in cases], [L for _, L in cases]
+
+
 def test_count_zero_sum_boxes_against_grid():
     rng = np.random.default_rng(17)
+    cases, expect = [], []
     for _ in range(200):
         m = int(rng.integers(2, 5))
         coeffs = tuple(int(v) for v in rng.integers(1, 9, size=m))
         limits = tuple(int(v) for v in rng.integers(0, 9, size=m))
-        grids = np.meshgrid(*[np.arange(-L, L + 1) for L in limits],
-                            indexing="ij", sparse=True)
-        total = sum(c * g for c, g in zip(coeffs, grids))
-        assert count_zero_sum_boxes(coeffs, limits) == int((total == 0).sum())
+        want = grid_zero_sum_boxes(coeffs, limits)
+        assert count_zero_sum_boxes(coeffs, limits) == want
+        cases.append((coeffs, limits))
+        expect.append(want)
+    # the same rows through the row kernel, in one batch
+    assert count_zero_sum_rows(*_rows(cases)) == expect
+
+
+def test_count_zero_sum_rows_edge_rows_and_wide_rows():
+    cases = [((), ()), ((3,), (0,)), ((3,), (5,)), ((2, 5), (0, 0)),
+             ((2, 5), (0, 7)), ((4, 6, 9), (0, 3, 0)), ((4, 6, 9), (2, 0, 3)),
+             ((1, 1, 1, 1, 1), (0, 0, 0, 0, 0))]
+    rng = np.random.default_rng(41)
+    for _ in range(150):
+        m = int(rng.integers(3, 6))
+        coeffs = tuple(int(v) for v in rng.integers(1, 12, size=m))
+        limits = tuple(int(v) for v in rng.integers(0, 6 if m == 5 else 9, size=m))
+        cases.append((coeffs, limits))
+    expect = [grid_zero_sum_boxes(c, L) for c, L in cases]
+    assert count_zero_sum_rows(*_rows(cases)) == expect
+    assert [count_zero_sum_boxes(c, L) for c, L in cases] == expect
+    assert count_zero_sum_rows([], []) == []
+
+
+def test_count_zero_sum_rows_across_chunks(monkeypatch):
+    rng = np.random.default_rng(43)
+    cases = []
+    for _ in range(60):
+        m = int(rng.integers(2, 6))
+        cases.append((tuple(int(v) for v in rng.integers(1, 9, size=m)),
+                      tuple(int(v) for v in rng.integers(0, 5, size=m))))
+    expect = [grid_zero_sum_boxes(c, L) for c, L in cases]
+    # a cap of 5 cells splits most rows and makes the batch span many steps
+    monkeypatch.setattr(lattice, "_ROW_CELLS", 5)
+    assert count_zero_sum_rows(*_rows(cases)) == expect
+
+
+def test_count_zero_sum_rows_row_above_the_cell_cap():
+    # outer grid of 61 * 81 * 3 cells > _ROW_CELLS, between two small rows
+    big = ((7, 3, 5, 11, 13), (30, 40, 1, 90, 100))
+    assert 61 * 81 * 3 > lattice._ROW_CELLS
+    cases = [((1, 2, 3), (2, 2, 2)), big, ((5, 5), (3, 3))]
+    got = count_zero_sum_rows(*_rows(cases))
+    assert got == [count_zero_sum_boxes(c, L) for c, L in cases]
+    assert got[0] == grid_zero_sum_boxes(*cases[0])
+
+
+def test_count_zero_sum_rows_on_both_sides_of_the_int64_switch():
+    assert lattice._VEC_LIMIT == 1 << 60
+    rng = np.random.default_rng(47)
+    cases = [((1, 1, 1 << 61), (5, 5, 1)), ((1 << 61, 3, 1 << 61), (1, 4, 2))]
+    for _ in range(40):
+        m = int(rng.integers(2, 5))
+        coeffs = [int(v) for v in rng.integers(1, 9, size=m)]
+        limits = tuple(int(v) for v in rng.integers(0, 6, size=m))
+        # scaled by 2^40 a row needs exact ints (a^2 >= 2^60); by 10^20
+        # its reach passes 2^60 too; the count does not change
+        for scale in (1, 1 << 20, 1 << 40, 10 ** 20):
+            cases.append((tuple(c * scale for c in coeffs), limits))
+    expect = [_scalar_zero_sum_boxes(c, L) for c, L in cases]
+    assert count_zero_sum_rows(*_rows(cases)) == expect
+    assert expect[:2] == [11, 3]
+    for i in range(2, len(cases), 4):
+        assert expect[i:i + 4] == [grid_zero_sum_boxes(*cases[i])] * 4
+
+
+def test_count_zero_sum_rows_contract():
+    with pytest.raises(ContractViolation):
+        count_zero_sum_rows([(1, 2)], [(1, 2), (3, 4)])
+    with pytest.raises(ContractViolation):
+        count_zero_sum_rows([(1, 2)], [(1, 2, 3)])
+    with pytest.raises(ContractViolation):
+        count_zero_sum_rows([(1, 2), (0, 2)], [(1, 2), (1, 2)])
+    with pytest.raises(ContractViolation):
+        count_zero_sum_rows([(1, 2), (1, 2)], [(1, 2), (1, -1)])
+    # 2^200 outer cells would overflow the int64 flat index
+    with pytest.raises(ResourceLimit):
+        count_zero_sum_rows([(1,) * 7], [(1 << 40,) * 7])
 
 
 def test_counts_match_grids_randomized():
