@@ -75,14 +75,20 @@ def _emit(report: dict, fmt: str) -> None:
         sys.stdout.write(buf.getvalue())
 
 
-def _parse_bound(text: str) -> float:
+def _parse_bound(text: str) -> tuple[float, Fraction]:
+    """The height bound as reported (float) and as counted (exact).
+
+    The float screens out inf, nan and values beyond the float range;
+    the count floors the exact decimal value, so bounds above 2^53 are
+    not rounded first.
+    """
     try:
         value = float(text)
     except ValueError as exc:
         raise _UsageError(f"invalid height bound {text!r}") from exc
     if not math.isfinite(value):
         raise _UsageError(f"height bound must be finite, got {text!r}")
-    return value
+    return value, Fraction(text)
 
 
 def build_parser() -> _Parser:
@@ -101,8 +107,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("count", help="count points of height at most B")
     p.add_argument("--n", type=int, default=3)
-    p.add_argument("--B", required=True, help="height bound; scientific "
-                                              "notation accepted, floored")
+    p.add_argument("--B", required=True, help="height bound >= 0; scientific "
+                                              "notation accepted, floored "
+                                              "exactly")
     p.add_argument("--method", choices=counting.METHODS, default="direct")
     p.add_argument("--shards", type=int, default=1)
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -167,8 +174,8 @@ def _cmd_factorize(args: argparse.Namespace) -> dict:
 
 
 def _cmd_count(args: argparse.Namespace) -> dict:
-    B = _parse_bound(args.B)
-    report = counting.count_points(args.n, B, args.method, shards=args.shards)
+    B, exact = _parse_bound(args.B)
+    report = counting.count_points(args.n, exact, args.method, shards=args.shards)
     return {
         "command": "count", "n": args.n, "B": B, "method": args.method,
         "shards": args.shards, "count": report.count,
@@ -224,7 +231,7 @@ def _cmd_toric(args: argparse.Namespace) -> dict:
 
 
 def _cmd_verify(args: argparse.Namespace) -> dict:
-    B = _parse_bound(args.B)
+    B, _ = _parse_bound(args.B)
     results = verify.run_suite(
         args.suite, n=args.n, B=B, shards=args.shards,
         seed=args.seed, heavy=args.heavy,

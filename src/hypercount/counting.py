@@ -23,11 +23,14 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import islice
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import ContractViolation, PrimitivityError
+from .errors import ContractViolation, PrimitivityError, ResourceLimit
 from .factorization import (bit, dimension_of, factorize, is_reduced,
                             members, weight)
 from .lattice import count_zero_sum, count_zero_sum_rows
@@ -36,23 +39,31 @@ WORKERS_ENV = "HYPERCOUNT_WORKERS"
 
 METHODS = ("direct", "moebius", "torsor")
 
-_LEAF_ROWS = 256  # weighted rows a torsor shard queues per kernel call
+# cells a count may enumerate (see _work_estimate): it admits n = 3 up to
+# B ~ 7e7 and n = 4 up to B ~ 1.3e7, and refuses what would run for about
+# an hour or more
+_WORK_BUDGET = 10 ** 10
+
+_TORSOR_CAP = 1 << 13  # distinct leaves, or distinct rows, a torsor shard holds
+_ROW_SLICE = 256  # rows per count_zero_sum_rows call
 
 
 # ------------------------------ arithmetic ------------------------------
 
 def int_nth_root(value: int, n: int) -> int:
-    """Largest integer x >= 0 with x^n <= value (value >= 0)."""
+    """Largest integer x >= 0 with x^n <= value (value >= 0), exact for
+    any size: integer Newton steps from 2^ceil(bits/n), which is above
+    the root, descend to it."""
     if value < 0:
         raise ContractViolation("value must be nonnegative")
     if value == 0:
         return 0
-    x = int(round(value ** (1.0 / n)))
-    while x ** n > value:
-        x -= 1
-    while (x + 1) ** n <= value:
-        x += 1
-    return x
+    x = 1 << -(-value.bit_length() // n)
+    while True:
+        y = ((n - 1) * x + value // x ** (n - 1)) // n
+        if y >= x:
+            return x
+        x = y
 
 
 def mobius_sieve(limit: int) -> np.ndarray:
@@ -328,9 +339,17 @@ def _torsor_shard(n: int, X: int, shard: int, shards: int) -> int:
     products.  The top variable carries no coprimality constraint, so its
     range [1, Z] is closed in one divisor sum: for each squarefree m,
     mu(m) * floor(Z/m) * #{x' : m | x'_j z_{2^{j-1}} for all j} where the
-    inner count is a box-restricted zero-sum count.  Leaves queue those
-    counts as weighted rows, counted _LEAF_ROWS at a time by the row
-    kernel.
+    inner count is a box-restricted zero-sum count.
+
+    That sum depends only on Z and the pairs (z_{2^j}, cof_j), and it is
+    symmetric in j, so a leaf only adds 1 to the multiplicity of its key
+    (Z, sorted pairs).  Each distinct leaf then expands into one row per
+    squarefree m, keyed by its sorted (coeff, limit) pairs with the zero
+    limits dropped; equal rows add up their weights, and every distinct
+    row with a nonzero weight is counted once by the row kernel,
+    _ROW_SLICE rows per call.  Each dict is flushed when it holds
+    _TORSOR_CAP keys (leaves first, so a leaf flush may flush rows), so
+    memory stays bounded whatever X.
     """
     N = (1 << n) - 1
     mu = mobius_sieve(X).tolist()
@@ -340,36 +359,71 @@ def _torsor_shard(n: int, X: int, shard: int, shards: int) -> int:
     off = {h: [j - 1 for j in range(1, n + 1) if not bit(h, j)]
            if weight(h) >= 2 else [] for h in order}
     incomp = {h: [l for l in order if not (h & l == h or h & l == l)] for h in order}
+    singletons = [1 << j for j in range(n)]
     z = [1] * (N + 1)  # 1-based
     ypart = [1] * (n + 1)
     cof = [1] * n  # cof[j-1] = prod of z_h over |h| >= 2, j not in h
-    row_coeffs: list[list[int]] = []
-    row_limits: list[list[int]] = []
-    row_weights: list[int] = []
+    # Keys are packed into single ints, which take a fraction of the
+    # memory of tuples and hash faster.  Field widths follow from X < 2^w:
+    # z_{2^j}, Z and every limit are <= X, and cof_j <= prod_{k != j}
+    # ypart[k] <= X^(n-1), so a row coefficient cof_j * q (q <= Z) is <= X^n.
+    w = X.bit_length()
+    cof_bits, leaf_bits, row_bits = (n - 1) * w, n * w, (n + 1) * w
+    low, cof_mask, coeff_mask = (1 << w) - 1, (1 << cof_bits) - 1, (1 << leaf_bits) - 1
+    leaves: dict[int, int] = {}  # Z, then n sorted (z_{2^j}, cof_j) -> multiplicity
+    rows: dict[int, int] = {}  # 1, then sorted (coeff, limit) pairs -> weight
     total = 0
 
-    def flush() -> None:
+    def flush_rows() -> None:
         nonlocal total
-        counts = count_zero_sum_rows(row_coeffs, row_limits)
-        total += sum(w * c for w, c in zip(row_weights, counts))
-        row_coeffs.clear()
-        row_limits.clear()
-        row_weights.clear()
+        work = filter(itemgetter(1), rows.items())  # rows whose weights cancel drop out
+        while part := list(islice(work, _ROW_SLICE)):
+            coeffs, limits = [], []
+            for key, _ in part:
+                cs, Ls = [], []
+                while key > 1:
+                    cs.append(key >> w & coeff_mask)
+                    Ls.append(key & low)
+                    key >>= row_bits
+                coeffs.append(cs)
+                limits.append(Ls)
+            counts = count_zero_sum_rows(coeffs, limits)
+            total += sum(wt * c for (_, wt), c in zip(part, counts))
+        rows.clear()
+
+    def flush_leaves() -> None:
+        for key, mult in leaves.items():
+            pairs = []
+            for _ in range(n):
+                v = key >> cof_bits & low
+                pairs.append((v, key & cof_mask, X // v))
+                key >>= leaf_bits
+            Z = key
+            for m in range(1, Z + 1):
+                sign = mu[m]
+                if not sign:
+                    continue
+                row = []
+                for v, c, b in pairs:
+                    q = m // math.gcd(m, v)
+                    if b >= q:  # a zero limit drops out of the count
+                        row.append(c * q << w | b // q)
+                row.sort()
+                rkey = 1
+                for pair in row:
+                    rkey = rkey << row_bits | pair
+                rows[rkey] = rows.get(rkey, 0) + mult * sign * (Z // m)
+                if len(rows) >= _TORSOR_CAP:
+                    flush_rows()
+        leaves.clear()
 
     def leaf() -> None:
-        Z = X // max(ypart)  # ypart[0] stays 1, below every ypart[j]
-        zs = [z[1 << j] for j in range(n)]
-        boxes0 = [X // v for v in zs]
-        for m in range(1, Z + 1):
-            sign = mu[m]
-            if not sign:
-                continue
-            mj = [m // math.gcd(m, v) for v in zs]
-            row_coeffs.append([c * q for c, q in zip(cof, mj)])
-            row_limits.append([b // q for b, q in zip(boxes0, mj)])
-            row_weights.append(sign * (Z // m))
-            if len(row_weights) == _LEAF_ROWS:
-                flush()
+        key = X // max(ypart)  # Z; ypart[0] stays 1, below every ypart[j]
+        for pair in sorted([z[h] << cof_bits | c for h, c in zip(singletons, cof)]):
+            key = key << leaf_bits | pair
+        leaves[key] = leaves.get(key, 0) + 1
+        if len(leaves) >= _TORSOR_CAP:
+            flush_leaves()
 
     def dfs(idx: int) -> None:
         if idx == len(order):
@@ -404,7 +458,8 @@ def _torsor_shard(n: int, X: int, shard: int, shards: int) -> int:
             z[h] = 1
 
     dfs(0)
-    flush()
+    flush_leaves()
+    flush_rows()
     return total
 
 
@@ -446,9 +501,19 @@ def _env_workers() -> int:
     return workers
 
 
-def count_points(n: int, B: float, method: str = "direct", shards: int = 1) -> CountReport:
+def _work_estimate(n: int, X: int) -> int:
+    """Cells a count enumerates, roughly: C(X+n-1, n) sorted y tuples,
+    each a kernel call over (2X+1)^(n-2) outer cells."""
+    return math.comb(X + n - 1, n) * (2 * X + 1) ** (n - 2)
+
+
+def count_points(n: int, B: float | Fraction, method: str = "direct",
+                 shards: int = 1) -> CountReport:
     """Number of qualifying points, N(B), with the chosen pipeline.
 
+    B may be an int, a float or a Fraction; it is floored exactly.  A
+    negative B is a ContractViolation, and a count whose work estimate
+    exceeds ``_WORK_BUDGET`` cells raises ResourceLimit before it starts.
     All pipelines return identical values; ``shards`` partitions the
     outermost enumeration deterministically (the aggregate is independent
     of the partition).  Set HYPERCOUNT_WORKERS to run shards in parallel
@@ -460,12 +525,19 @@ def count_points(n: int, B: float, method: str = "direct", shards: int = 1) -> C
         raise ContractViolation("n must be >= 3")
     if shards < 1:
         raise ContractViolation("shards must be >= 1")
+    if B < 0:
+        raise ContractViolation("height bound must be nonnegative")
+    X = int_nth_root(math.floor(B), n)
+    # (2X+1)^(n-2) >= 2^(n-2), so large n is over budget without the product
+    if X and (n - 2 >= _WORK_BUDGET.bit_length()
+              or _work_estimate(n, X) > _WORK_BUDGET):
+        raise ResourceLimit(f"count with n = {n}, X = {X} exceeds the "
+                            f"budget of {_WORK_BUDGET:.0e} enumerated cells")
     workers = min(_env_workers(), shards, os.cpu_count() or 1)
     t0 = time.perf_counter()
-    if B < 1:
+    if not X:
         count = 0
     else:
-        X = int_nth_root(math.floor(B), n)
         tasks = [(method, n, X, s, shards) for s in range(shards)]
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:

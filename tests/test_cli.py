@@ -1,7 +1,12 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -133,6 +138,43 @@ def test_non_finite_bound_is_a_usage_error(capsys, bound):
     assert code == 1 and out == "" and "height bound must be finite" in err
     code, _, err = run_cli(capsys, "verify", "--suite", "lattice", f"--B={bound}")
     assert code == 1 and "height bound must be finite" in err
+
+
+def test_negative_bound_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "count", "--n", "3", "--B", "-5")
+    assert code == 1 and out == "" and "nonnegative" in err
+    for bound in ("0", "0.5", "-0"):
+        code, out, _ = run_cli(capsys, "count", "--n", "3", "--B", bound)
+        assert code == 0 and json.loads(out)["count"] == 0
+
+
+def test_bound_is_floored_exactly(capsys):
+    # 26999999999999999 rounds to the float 2.7e16, whose cube root is 300000
+    for bound, X in (("26999999999999999", 299999), ("27e15", 300000)):
+        code, out, err = run_cli(capsys, "count", "--n", "3", "--B", bound)
+        assert code == 2 and out == "" and f"X = {X} " in err
+    code, out, _ = run_cli(capsys, "count", "--n", "3", "--B", "26.99999999999999999")
+    assert code == 0
+    report = json.loads(out)
+    assert report["B"] == 27.0  # reported as the float
+    assert report["count"] == 436  # counted as 26 < 3^3, so X = 2 (B = 27 gives 1948)
+
+
+def test_oversize_count_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "count", "--n", "3", "--B", "2e19")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and "resource limit" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "hypercount", "count", "--n", "3",
+                           "--B", "10"], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["count"] == 436
 
 
 def test_workers_env_is_validated_and_capped(capsys, monkeypatch):

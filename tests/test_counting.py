@@ -1,14 +1,16 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from hypercount import counting
 from hypercount.counting import (CountReport, PrimitiveSolution, TorsorPoint,
                                  ambient_equation, coprimality_condition,
                                  count_points, int_nth_root, mobius_sieve,
                                  squarefree_divisors, torsor_lift, torsor_push)
-from hypercount.errors import ContractViolation, PrimitivityError
+from hypercount.errors import ContractViolation, PrimitivityError, ResourceLimit
 from hypercount.factorization import compose, factorize, is_reduced
 
 from oracles import count_points_by_grid, solutions_by_grid
@@ -19,6 +21,16 @@ def test_int_nth_root():
         for n in (2, 3, 4):
             r = int_nth_root(v, n)
             assert r ** n <= v < (r + 1) ** n
+    # exact beyond the float range, where a float first guess overflows
+    v = 10 ** 400
+    r = int_nth_root(v, 3)
+    assert r ** 3 <= v < (r + 1) ** 3
+    for r in (2 ** 53 + 1, 10 ** 40 + 7, 3 ** 300):
+        for n in (2, 3, 5, 7):
+            p = r ** n
+            assert int_nth_root(p - 1, n) == r - 1
+            assert int_nth_root(p, n) == r
+            assert int_nth_root(p + 1, n) == r
 
 
 def test_mobius_sieve_and_divisors():
@@ -150,6 +162,10 @@ def test_coprimality_equivalent_to_reduced_randomized_n4():
 
 def test_count_edge_cases():
     assert count_points(3, 0.5, "direct").count == 0
+    assert count_points(3, 0, "torsor").count == 0
+    assert count_points(3, Fraction(7, 2), "direct").count == 28
+    with pytest.raises(ContractViolation):
+        count_points(3, -5, "direct")
     assert count_points(3, 1, "direct").count == 28
     assert count_points(3, 1, "moebius").count == 28
     assert count_points(3, 1, "torsor").count == 28
@@ -194,3 +210,36 @@ def test_methods_agree_n5(B, expect):
     # X = 3, 4, 5; torsor leaves carry three outer coordinates per row
     for method in ("direct", "moebius", "torsor"):
         assert count_points(5, B, method).count == expect
+
+
+@pytest.mark.parametrize("shards", [2, 3, 5])
+def test_torsor_shard_invariance_n4(shards):
+    assert count_points(4, 1000, "torsor", shards=shards).count == 852104
+
+
+_FLUSH_CASES = [(3, 2000, 390052), (4, 1000, 852104), (5, 3125, 62411376)]
+
+
+def test_torsor_default_cap_counts():
+    for n, B, expect in _FLUSH_CASES:
+        assert count_points(n, B, "torsor").count == expect
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+@pytest.mark.parametrize("n, B, expect", _FLUSH_CASES)
+def test_torsor_counts_survive_tiny_flush_caps(monkeypatch, cap, n, B, expect):
+    # a cap this small flushes the leaf dict at every leaf and fires row
+    # flushes from inside each leaf flush
+    monkeypatch.setattr(counting, "_TORSOR_CAP", cap)
+    assert count_points(n, B, "torsor").count == expect
+
+
+def test_oversize_count_is_refused_before_it_starts():
+    with pytest.raises(ResourceLimit):
+        count_points(3, 2e19, "direct")
+    with pytest.raises(ResourceLimit):
+        count_points(40, 2 ** 40, "torsor")  # X = 2: over budget by its size alone
+    # the largest acceptance cells stay inside the budget
+    for n, B in ((3, 10 ** 6), (4, 160000)):
+        X = int_nth_root(B, n)
+        assert counting._work_estimate(n, X) <= counting._WORK_BUDGET
