@@ -231,9 +231,9 @@ def _cmd_toric(args: argparse.Namespace) -> dict:
 
 
 def _cmd_verify(args: argparse.Namespace) -> dict:
-    B, _ = _parse_bound(args.B)
+    B, exact = _parse_bound(args.B)
     results = verify.run_suite(
-        args.suite, n=args.n, B=B, shards=args.shards,
+        args.suite, n=args.n, B=exact, shards=args.shards,
         seed=args.seed, heavy=args.heavy,
         log=lambda line: print(line, file=sys.stderr))
     failed = [r.name for r in results if not r.ok]

@@ -11,13 +11,18 @@ ambient equation becomes sum_i d_i alpha_i = 0.  This module counts
 
 exactly, and evaluates the continuous main term X^{n-1} b / d_1 where b
 is the volume of the slab {alpha in [-1,1]^{n-1} : |sum_{i>=2} d_i
-alpha_i| <= d_1}.  Counts run in O(X^{n-2} polylog) by iterating all but
-two coordinates and closing the last two with a progression count.
+alpha_i| <= d_1}.  Three coordinates close in closed form, two by a
+progression count and the third by floor sums (``_floor_sum``), so a
+count takes O(X^{n-3} log X) Python-int steps and a box with three
+active coordinates needs no enumeration at all.  While int64 suffices,
+boxes with four or more active coordinates instead enumerate all but
+their two largest coordinates in numpy.
 
 ``count_zero_sum_boxes`` counts one box; ``count_zero_sum_rows`` counts
-a batch of boxes (rows) at once, laying the enumerated cells of all rows
-end to end so that many small rows share each numpy call.  Its working
-arrays never hold more than ``_ROW_CELLS`` cells, whatever the batch.
+a batch of boxes (rows) at once, laying the enumerated cells of all its
+numpy rows end to end so that many small rows share each numpy call.
+Its working arrays never hold more than ``_ROW_CELLS`` cells, whatever
+the batch.
 """
 
 from __future__ import annotations
@@ -193,6 +198,69 @@ def _pair_count_scalar(a: int, La: int, b: int, Lb: int, s: int) -> int:
     return _progression_count(u0, b_, lo, hi)
 
 
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum_{i=0}^{n-1} floor((a i + b) / m) for n >= 0, m >= 1 and any
+    integers a, b: the ``floor_sum`` of the AtCoder Library, in O(log m)
+    Euclid-like steps.  The first step moves the integer parts of a/m and
+    b/m out of the sum, which also makes a negative a or b nonnegative."""
+    total = 0
+    while True:
+        qa, a = divmod(a, m)
+        qb, b = divmod(b, m)
+        total += n * (n - 1) // 2 * qa + n * qb
+        top = a * n + b
+        if top < m:
+            return total
+        n, b = divmod(top, m)
+        m, a = a, m
+
+
+def _line_sum(t0: int, t1: int, A: int, B: int, M: int) -> int:
+    """sum_{t=t0}^{t1} floor((A t + B) / M), 0 when t1 < t0."""
+    return _floor_sum(t1 - t0 + 1, M, A, A * t0 + B) if t1 >= t0 else 0
+
+
+def _triple_count(a: int, La: int, b: int, Lb: int, c: int, Lc: int, s: int) -> int:
+    """#{(u, v, w) : a u + b v + c w = s, |u| <= La, |v| <= Lb, |w| <= Lc}
+    with a, b, c >= 1, in O(log) steps and no enumeration.
+
+    The pair count of (u, v) for one w needs g = gcd(a, b) to divide
+    s - c w, so w = w0 + g' t with g' = g / gcd(g, c).  Along t the
+    residue of u is sigma + alpha t modulo b/g, and any representative
+    works in floor((hi - u0)/(b/g)) - floor((lo - 1 - u0)/(b/g)), so the
+    modular reduction drops out.  On the t where some (u, v) fits at
+    all, |s - c w| <= a La + b Lb, the bound hi is La up to one t and
+    floor((s - c w + b Lb)/a) after it, lo is ceil((s - c w - b Lb)/a)
+    up to one t and -La after it, and the nested floors merge
+    (floor(floor(p/a)/m) = floor(p/(a m))).  That leaves four floor sums
+    over t-intervals.
+    """
+    g = math.gcd(a, b)
+    g1 = math.gcd(g, c)
+    if s % g1:
+        return 0
+    gp, cq, bq = g // g1, c // g1, b // g
+    w0 = s // g1 % gp * pow(cq % gp, -1, gp) % gp
+    E = s - c * w0  # s - c w = E - D t, and g divides E
+    D = c * gp
+    inv = pow(a // g % bq, -1, bq)
+    sigma = E // g % bq * inv % bq
+    alpha = -cq * inv % bq
+    R = a * La + b * Lb
+    w_lo = max(-Lc, -((R - s) // c))
+    w_hi = min(Lc, (s + R) // c)
+    t0 = -((w0 - w_lo) // gp)
+    t1 = (w_hi - w0) // gp
+    T_hi = (E + b * Lb - a * La) // D  # hi = La exactly for t <= T_hi
+    T_lo = -((b * Lb - a * La - E) // D)  # lo = -La exactly for t >= T_lo
+    slope = -(D + a * alpha)
+    M = a * bq
+    return (_line_sum(t0, min(t1, T_hi), -alpha, La - sigma, bq)
+            + _line_sum(max(t0, T_hi + 1), t1, slope, E + b * Lb - a * sigma, M)
+            - _line_sum(t0, min(t1, T_lo - 1), slope, E - b * Lb - 1 - a * sigma, M)
+            - _line_sum(max(t0, T_lo), t1, -alpha, -La - 1 - sigma, bq))
+
+
 def _pair_params(a: int, La: int, b: int, Lb: int) -> tuple[int, ...]:
     """Arguments of ``_pair_count_vec`` for one pair: (a, La, b, Lb, g, b/g,
     inverse of a/g modulo b/g), with g = gcd(a, b); the inverse is 0 when
@@ -251,63 +319,71 @@ def _fits_int64(active: list[tuple[int, int]]) -> bool:
             and max(a, b) ** 2 < _VEC_LIMIT)
 
 
-def _exact_count(a: int, La: int, b: int, Lb: int, outer: list[tuple[int, int]]) -> int:
-    """The zero-sum count with exact Python integers, one outer cell at a time."""
+def _exact_count(active: list[tuple[int, int]]) -> int:
+    """The zero-sum count of validated (L, c) pairs (see ``_active_pairs``)
+    with exact Python integers: the three largest boxes close in
+    ``_triple_count`` (two in the pair count when only two are active)
+    and the others are enumerated one cell at a time."""
+    if len(active) <= 1:
+        return 1  # only the zero vector
+    if len(active) == 2:
+        (Lb, b), (La, a) = active
+        return _pair_count_scalar(a, La, b, Lb, 0)
+    (Lc, c), (Lb, b), (La, a) = active[-3:]
+    outer = active[:-3]
+    if not outer:  # every n = 3 box: skip the product's per-call set-up
+        return _triple_count(a, La, b, Lb, c, Lc, 0)
     total = 0
     for combo in itertools.product(*(range(-L, L + 1) for L, _ in outer)):
-        s = -sum(c * w for (_, c), w in zip(outer, combo))
-        total += _pair_count_scalar(a, La, b, Lb, s)
+        s = -sum(cw * w for (_, cw), w in zip(outer, combo))
+        total += _triple_count(a, La, b, Lb, c, Lc, s)
     return total
 
 
 def count_zero_sum_boxes(coeffs: Sequence[int], limits: Sequence[int]) -> int:
     """#{w in Z^m : sum c_i w_i = 0, |w_i| <= L_i} for positive coefficients.
 
-    The two coordinates with the largest boxes are closed in one
-    progression count; the others are enumerated (in bounded-memory
-    chunks).  Switches to exact Python integers when int64 could
-    overflow.
+    A box with at most three active coordinates (L_i > 0) is counted in
+    closed form.  Otherwise the two coordinates with the largest boxes
+    are closed in one progression count and the others are enumerated in
+    numpy (in bounded-memory chunks); when int64 could overflow, the
+    three largest close in closed form and the others are enumerated
+    with exact Python integers.
     """
     active = _active_pairs(coeffs, limits)
-    if len(active) <= 1:
-        return 1  # only the zero vector
+    if len(active) <= 3 or not _fits_int64(active):
+        return _exact_count(active)
     (Lb, b), (La, a) = active[-2:]
-    outer = active[:-2]
-    if not outer:
-        return _pair_count_scalar(a, La, b, Lb, 0)
-    if _fits_int64(active):
-        pair = _pair_params(a, La, b, Lb)
-        return sum(int(_pair_count_vec(*pair, s).sum())
-                   for s in _outer_sum_chunks(outer, 0))
-    return _exact_count(a, La, b, Lb, outer)
+    pair = _pair_params(a, La, b, Lb)
+    return sum(int(_pair_count_vec(*pair, s).sum())
+               for s in _outer_sum_chunks(active[:-2], 0))
 
 
 def count_zero_sum_rows(coeffs: Sequence[Sequence[int]],
                         limits: Sequence[Sequence[int]]) -> list[int]:
     """``count_zero_sum_boxes(coeffs[k], limits[k])`` for every row k.
 
-    Each row closes its two largest boxes by the progression count.  The
-    outer grids of all rows are laid end to end in one flat ragged index,
-    so rows of a few cells share their numpy calls: each step decodes at
-    most ``_ROW_CELLS`` consecutive cells into mixed-radix digits, counts
-    them, and sums them back per row with ``np.add.reduceat``.  A row
-    larger than the cap spans several steps.  Rows that could overflow
-    int64 take the exact Python-int path.
+    A row with at most three active coordinates, or one that could
+    overflow int64, is counted on its own by ``count_zero_sum_boxes``'
+    exact path.  The other rows close their two largest boxes by the
+    progression count, and their outer grids are laid end to end in one
+    flat ragged index, so rows of a few cells share their numpy calls:
+    each step decodes at most ``_ROW_CELLS`` consecutive cells into
+    mixed-radix digits, counts them, and sums them back per row with
+    ``np.add.reduceat``.  A row larger than the cap spans several steps.
     """
     if len(coeffs) != len(limits):
         raise ContractViolation("coefficient/limit row count mismatch")
-    counts = [1] * len(coeffs)
+    counts = [0] * len(coeffs)
     rows: list[int] = []
     pairs: list[tuple[int, ...]] = []
     outers: list[list[tuple[int, int]]] = []
     for k, (cs, Ls) in enumerate(zip(coeffs, limits)):
         active = _active_pairs(cs, Ls)
-        if len(active) <= 1:
+        if len(active) <= 3 or not _fits_int64(active):
+            counts[k] = _exact_count(active)
             continue
         (Lb, b), (La, a) = active[-2:]
-        if not _fits_int64(active):
-            counts[k] = _exact_count(a, La, b, Lb, active[:-2])
-            continue
         rows.append(k)
         pairs.append(_pair_params(a, La, b, Lb))
         outers.append(active[:-2])

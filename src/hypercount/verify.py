@@ -194,12 +194,12 @@ def _lattice_checks(heavy: bool, seed: int) -> Iterator[CheckResult]:
                       bad == 0, f"X in {{1e2,1e3,1e4}}, {bad} blowups")
 
 
-def _method_checks(n: int, B: float, shards: int) -> Iterator[CheckResult]:
+def _method_checks(n: int, B: float | Fraction, shards: int) -> Iterator[CheckResult]:
     reports = {m: counting.count_points(n, B, m, shards=shards)
                for m in counting.METHODS}
     vals = {m: r.count for m, r in reports.items()}
     ok = len(set(vals.values())) == 1
-    yield CheckResult(f"three pipelines agree at n={n}, B={B:g}",
+    yield CheckResult(f"three pipelines agree at n={n}, B={float(B):g}",
                       ok, f"{vals}")
     small = counting.count_points(3, 1, "direct").count
     oracle = brute_count_points(3, 1)
@@ -333,7 +333,7 @@ def _constant_checks(heavy: bool, seed: int) -> Iterator[CheckResult]:
                           f"rel {br.relative_discrepancy:.2e}")
 
 
-def run_suite(suite: str, n: int = 3, B: float = 10 ** 4, shards: int = 2,
+def run_suite(suite: str, n: int = 3, B: float | Fraction = 10 ** 4, shards: int = 2,
               seed: int = 0, heavy: bool = False,
               log: Callable[[str], None] | None = None) -> list[CheckResult]:
     if suite not in SUITES:

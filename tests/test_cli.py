@@ -160,6 +160,17 @@ def test_bound_is_floored_exactly(capsys):
     assert report["count"] == 436  # counted as 26 < 3^3, so X = 2 (B = 27 gives 1948)
 
 
+def test_verify_floors_the_bound_exactly(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "methods", "--n", "3",
+                           "--B", "26.99999999999999999")
+    assert code == 0
+    report = json.loads(out)
+    assert report["B"] == 27.0  # reported as the float
+    agree = report["checks"][0]
+    assert agree["name"] == "three pipelines agree at n=3, B=27"
+    assert "'direct': 436" in agree["detail"]
+
+
 def test_oversize_count_exits_2_at_once(capsys):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "count", "--n", "3", "--B", "2e19")

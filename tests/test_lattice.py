@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hypercount import lattice
 from hypercount.errors import ContractViolation, ResourceLimit
@@ -223,6 +225,99 @@ def test_count_zero_sum_rows_contract():
     # 2^200 outer cells would overflow the int64 flat index
     with pytest.raises(ResourceLimit):
         count_zero_sum_rows([(1,) * 7], [(1 << 40,) * 7])
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(n=st.integers(0, 40), m=st.one_of(st.integers(1, 60), st.integers(1, 10 ** 12)),
+       a=st.integers(-10 ** 15, 10 ** 15), b=st.integers(-10 ** 15, 10 ** 15))
+@example(n=0, m=7, a=-3, b=-5)
+@example(n=9, m=1, a=-4, b=11)
+@example(n=25, m=13, a=-40, b=-7)
+def test_floor_sum_against_the_brute_sum(n, m, a, b):
+    assert lattice._floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+
+
+@st.composite
+def _three_coordinate_rows(draw):
+    """Three positive coefficients, the first two sharing a factor k (so
+    pairs are coprime or not), and limits in [0, 8], sometimes all equal."""
+    k = draw(st.sampled_from([1, 2, 6]))
+    coeffs = tuple(draw(st.integers(1, 30)) * (k if i < 2 else 1) for i in range(3))
+    limits = draw(st.one_of(st.tuples(*[st.integers(0, 8)] * 3),
+                            st.integers(0, 8).map(lambda L: (L, L, L))))
+    return coeffs, limits
+
+
+_THREE_COORDINATE_EXAMPLES = [
+    ((6, 10, 15), (5, 5, 5)),  # pairwise non-coprime, equal boxes
+    ((2, 3, 5), (0, 4, 4)),  # a zero limit: two active coordinates
+    ((7, 7, 7), (3, 3, 3)),
+    ((4, 6, 9), (0, 0, 0)),
+    ((1, 30, 29), (8, 1, 2)),  # one coefficient far larger than its box
+]
+
+
+def _with_examples(test):
+    for row in _THREE_COORDINATE_EXAMPLES:
+        test = example(row)(test)
+    return test
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_three_coordinate_rows())
+@_with_examples
+def test_three_coordinate_rows_against_the_grid(row):
+    coeffs, limits = row
+    want = grid_zero_sum_boxes(coeffs, limits)
+    assert count_zero_sum_boxes(coeffs, limits) == want
+    assert count_zero_sum_rows([coeffs], [limits]) == [want]
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(_three_coordinate_rows())
+@_with_examples
+def test_three_coordinate_rows_scaled_past_int64(row):
+    # the closed form runs on Python ints, so a row needs no int64 switch;
+    # scaling every coefficient leaves the count unchanged
+    coeffs, limits = row
+    want = _scalar_zero_sum_boxes(coeffs, limits)
+    for scale in (1, 1 << 40, 10 ** 20):
+        scaled = tuple(c * scale for c in coeffs)
+        assert (max(scaled) ** 2 < lattice._VEC_LIMIT) == (scale == 1)
+        assert _scalar_zero_sum_boxes(scaled, limits) == want
+        assert count_zero_sum_boxes(scaled, limits) == want
+        assert count_zero_sum_rows([scaled], [limits]) == [want]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(4, 5).flatmap(lambda m: st.tuples(
+           st.lists(st.integers(1, 12), min_size=m, max_size=m),
+           st.lists(st.integers(1, 4), min_size=m, max_size=m))),
+       st.sampled_from([1 << 40, 10 ** 20]))
+def test_wide_rows_past_int64_against_the_grid(row, scale):
+    coeffs, limits = row
+    scaled = [c * scale for c in coeffs]
+    assert not lattice._fits_int64(lattice._active_pairs(scaled, limits))
+    want = grid_zero_sum_boxes(coeffs, limits)
+    assert count_zero_sum_boxes(scaled, limits) == want
+    assert count_zero_sum_rows([scaled], [limits]) == [want]
+    # nearly equal huge coefficients: a solution must cancel in both parts
+    mixed = [c + k for k, c in enumerate(scaled)]
+    want = _scalar_zero_sum_boxes(mixed, limits)
+    assert count_zero_sum_boxes(mixed, limits) == want
+    assert count_zero_sum_rows([mixed], [limits]) == [want]
+
+
+def test_wide_rows_past_int64_enumerate_all_but_three(monkeypatch):
+    calls = []
+    triple = lattice._triple_count
+    monkeypatch.setattr(lattice, "_triple_count",
+                        lambda *args: calls.append(args) or triple(*args))
+    coeffs, limits = (3, 5, 7, 2, 1), (4, 3, 2, 2, 1)
+    scaled = tuple(c << 61 for c in coeffs)
+    assert count_zero_sum_boxes(scaled, limits) == grid_zero_sum_boxes(coeffs, limits)
+    # the two smallest boxes, L = 1 and L = 2, are the enumerated cells
+    assert len(calls) == 3 * 5
 
 
 def test_counts_match_grids_randomized():
