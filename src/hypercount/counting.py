@@ -24,8 +24,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from operator import itemgetter
+from itertools import combinations_with_replacement
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -33,7 +32,7 @@ import numpy as np
 from .errors import ContractViolation, PrimitivityError, ResourceLimit
 from .factorization import (bit, dimension_of, factorize, is_reduced,
                             members, weight)
-from .lattice import count_zero_sum, count_zero_sum_rows
+from .lattice import count_zero_sum, count_zero_sum_boxes
 
 WORKERS_ENV = "HYPERCOUNT_WORKERS"
 
@@ -45,7 +44,6 @@ METHODS = ("direct", "moebius", "torsor")
 _WORK_BUDGET = 10 ** 10
 
 _TORSOR_CAP = 1 << 13  # distinct leaves, or distinct rows, a torsor shard holds
-_ROW_SLICE = 256  # rows per count_zero_sum_rows call
 
 
 # ------------------------------ arithmetic ------------------------------
@@ -270,28 +268,9 @@ def _sorted_tuples(n: int, T: int, shard: int, shards: int) -> Iterator[tuple[tu
     for t in range(1, T + 1):
         if t % shards != shard:
             continue
-        if n == 3:
-            for y2 in range(1, t + 1):
-                for y1 in range(1, y2 + 1):
-                    y = (y1, y2, t)
-                    yield y, _multiplicity(y)
-        elif n == 4:
-            for y3 in range(1, t + 1):
-                for y2 in range(1, y3 + 1):
-                    for y1 in range(1, y2 + 1):
-                        y = (y1, y2, y3, t)
-                        yield y, _multiplicity(y)
-        else:
-            def inner(prefix: list[int], lo: int, k: int):
-                if k == 0:
-                    y = tuple(prefix) + (t,)
-                    yield y, _multiplicity(y)
-                    return
-                for v in range(lo, t + 1):
-                    prefix.append(v)
-                    yield from inner(prefix, v, k - 1)
-                    prefix.pop()
-            yield from inner([], 1, n - 1)
+        for rest in combinations_with_replacement(range(1, t + 1), n - 1):
+            y = rest + (t,)
+            yield y, _multiplicity(y)
 
 
 def _coeffs_of(y: Sequence[int]) -> tuple[int, ...]:
@@ -346,10 +325,9 @@ def _torsor_shard(n: int, X: int, shard: int, shards: int) -> int:
     (Z, sorted pairs).  Each distinct leaf then expands into one row per
     squarefree m, keyed by its sorted (coeff, limit) pairs with the zero
     limits dropped; equal rows add up their weights, and every distinct
-    row with a nonzero weight is counted once by the row kernel,
-    _ROW_SLICE rows per call.  Each dict is flushed when it holds
-    _TORSOR_CAP keys (leaves first, so a leaf flush may flush rows), so
-    memory stays bounded whatever X.
+    row with a nonzero weight is counted once by count_zero_sum_boxes.
+    Each dict is flushed when it holds _TORSOR_CAP keys (leaves first, so
+    a leaf flush may flush rows), so memory stays bounded whatever X.
     """
     N = (1 << n) - 1
     mu = mobius_sieve(X).tolist()
@@ -376,19 +354,15 @@ def _torsor_shard(n: int, X: int, shard: int, shards: int) -> int:
 
     def flush_rows() -> None:
         nonlocal total
-        work = filter(itemgetter(1), rows.items())  # rows whose weights cancel drop out
-        while part := list(islice(work, _ROW_SLICE)):
-            coeffs, limits = [], []
-            for key, _ in part:
-                cs, Ls = [], []
-                while key > 1:
-                    cs.append(key >> w & coeff_mask)
-                    Ls.append(key & low)
-                    key >>= row_bits
-                coeffs.append(cs)
-                limits.append(Ls)
-            counts = count_zero_sum_rows(coeffs, limits)
-            total += sum(wt * c for (_, wt), c in zip(part, counts))
+        for key, wt in rows.items():
+            if not wt:  # rows whose weights cancel drop out
+                continue
+            cs, Ls = [], []
+            while key > 1:
+                cs.append(key >> w & coeff_mask)
+                Ls.append(key & low)
+                key >>= row_bits
+            total += wt * count_zero_sum_boxes(cs, Ls)
         rows.clear()
 
     def flush_leaves() -> None:

@@ -11,18 +11,15 @@ ambient equation becomes sum_i d_i alpha_i = 0.  This module counts
 
 exactly, and evaluates the continuous main term X^{n-1} b / d_1 where b
 is the volume of the slab {alpha in [-1,1]^{n-1} : |sum_{i>=2} d_i
-alpha_i| <= d_1}.  Three coordinates close in closed form, two by a
-progression count and the third by floor sums (``_floor_sum``), so a
-count takes O(X^{n-3} log X) Python-int steps and a box with three
-active coordinates needs no enumeration at all.  While int64 suffices,
-boxes with four or more active coordinates instead enumerate all but
-their two largest coordinates in numpy.
-
-``count_zero_sum_boxes`` counts one box; ``count_zero_sum_rows`` counts
-a batch of boxes (rows) at once, laying the enumerated cells of all its
-numpy rows end to end so that many small rows share each numpy call.
-Its working arrays never hold more than ``_ROW_CELLS`` cells, whatever
-the batch.
+alpha_i| <= d_1}.  Every count comes down to ``count_zero_sum_boxes``,
+the count of one box #{w : sum c_i w_i = 0, |w_i| <= L_i}; A_r(X)
+becomes one by an extra coordinate for the multiple of joint(r).  Three
+coordinates close in closed form, two by a progression count and the
+third by floor sums (``_floor_sum``), so a count takes O(X^{n-3} log X)
+Python-int steps and a box with three active coordinates needs no
+enumeration at all.  While int64 suffices, boxes with four or more
+active coordinates instead enumerate all but their two largest
+coordinates in numpy, in chunks of at most ``_CHUNK`` cells.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractViolation, ResourceLimit
+from .errors import ContractViolation
 from .factorization import bit, dimension_of, is_reduced, weight
 
 # numpy paths stay in int64; anything bigger falls back to exact Python ints
@@ -261,18 +258,12 @@ def _triple_count(a: int, La: int, b: int, Lb: int, c: int, Lc: int, s: int) -> 
             - _line_sum(max(t0, T_lo), t1, -alpha, -La - 1 - sigma, bq))
 
 
-def _pair_params(a: int, La: int, b: int, Lb: int) -> tuple[int, ...]:
-    """Arguments of ``_pair_count_vec`` for one pair: (a, La, b, Lb, g, b/g,
-    inverse of a/g modulo b/g), with g = gcd(a, b); the inverse is 0 when
-    b/g = 1, where every residue is 0."""
+def _pair_count_vec(a: int, La: int, b: int, Lb: int, s: np.ndarray) -> np.ndarray:
+    """``_pair_count_scalar`` over an int64 array of targets s.  The inverse
+    of a/g modulo b/g is 0 when b/g = 1, where every residue is 0."""
     g = math.gcd(a, b)
     bq = b // g
-    return a, La, b, Lb, g, bq, pow(a // g % bq, -1, bq)
-
-
-def _pair_count_vec(a, La, b, Lb, g, bq, inv, s: np.ndarray) -> np.ndarray:
-    """``_pair_count_scalar`` over an int64 array of targets s; the other
-    arguments (see ``_pair_params``) are scalars or arrays shaped like s."""
+    inv = pow(a // g % bq, -1, bq)
     ok = s % g == 0
     u0 = (np.where(ok, s, 0) // g % bq) * inv % bq
     lo = np.maximum(-La, -((b * Lb - s) // a))
@@ -282,7 +273,6 @@ def _pair_count_vec(a, La, b, Lb, g, bq, inv, s: np.ndarray) -> np.ndarray:
 
 
 _CHUNK = 1 << 22  # flattened outer-grid cells per vectorized batch
-_ROW_CELLS = 1 << 12  # flattened outer cells per numpy step of count_zero_sum_rows
 
 
 def _outer_sum_chunks(outer: list[tuple[int, int]], base: int) -> "Iterator[np.ndarray]":
@@ -354,84 +344,8 @@ def count_zero_sum_boxes(coeffs: Sequence[int], limits: Sequence[int]) -> int:
     if len(active) <= 3 or not _fits_int64(active):
         return _exact_count(active)
     (Lb, b), (La, a) = active[-2:]
-    pair = _pair_params(a, La, b, Lb)
-    return sum(int(_pair_count_vec(*pair, s).sum())
+    return sum(int(_pair_count_vec(a, La, b, Lb, s).sum())
                for s in _outer_sum_chunks(active[:-2], 0))
-
-
-def count_zero_sum_rows(coeffs: Sequence[Sequence[int]],
-                        limits: Sequence[Sequence[int]]) -> list[int]:
-    """``count_zero_sum_boxes(coeffs[k], limits[k])`` for every row k.
-
-    A row with at most three active coordinates, or one that could
-    overflow int64, is counted on its own by ``count_zero_sum_boxes``'
-    exact path.  The other rows close their two largest boxes by the
-    progression count, and their outer grids are laid end to end in one
-    flat ragged index, so rows of a few cells share their numpy calls:
-    each step decodes at most ``_ROW_CELLS`` consecutive cells into
-    mixed-radix digits, counts them, and sums them back per row with
-    ``np.add.reduceat``.  A row larger than the cap spans several steps.
-    """
-    if len(coeffs) != len(limits):
-        raise ContractViolation("coefficient/limit row count mismatch")
-    counts = [0] * len(coeffs)
-    rows: list[int] = []
-    pairs: list[tuple[int, ...]] = []
-    outers: list[list[tuple[int, int]]] = []
-    for k, (cs, Ls) in enumerate(zip(coeffs, limits)):
-        active = _active_pairs(cs, Ls)
-        if len(active) <= 3 or not _fits_int64(active):
-            counts[k] = _exact_count(active)
-            continue
-        (Lb, b), (La, a) = active[-2:]
-        rows.append(k)
-        pairs.append(_pair_params(a, La, b, Lb))
-        outers.append(active[:-2])
-    if rows:
-        for k, cnt in zip(rows, _vec_rows(pairs, outers)):
-            counts[k] = cnt
-    return counts
-
-
-def _vec_rows(pairs: list[tuple[int, ...]],
-              outers: list[list[tuple[int, int]]]) -> list[int]:
-    """Row counts on the flat ragged grid of all rows' outer cells."""
-    R = len(pairs)
-    width = max(len(o) for o in outers)
-    pad = [(0, 0)] * width  # L = 0 is radix 1: a digit that is always 0
-    grid = np.array([o + pad[len(o):] for o in outers],
-                    dtype=np.int64).reshape(R, width, 2)
-    L, c = grid[..., 0].T, grid[..., 1].T
-    radix = 2 * L + 1
-    if radix.prod(axis=0, dtype=np.float64).sum() >= _VEC_LIMIT:
-        raise ResourceLimit("row batch has too many cells to enumerate")
-    ends = np.cumsum(radix.prod(axis=0))
-    starts = np.concatenate(([0], ends[:-1]))
-    # per row: the pair parameters, then (L, c, radix) of each outer coordinate
-    outer = np.stack([L, c, radix], axis=1).reshape(3 * width, R)
-    data = np.vstack([np.array(pairs, dtype=np.int64).T, outer])
-    totals = np.zeros(R, dtype=np.int64)
-    cells = int(ends[-1])
-    for t0 in range(0, cells, _ROW_CELLS):
-        t1 = min(t0 + _ROW_CELLS, cells)
-        lo = int(np.searchsorted(ends, t0, side="right"))
-        hi = int(np.searchsorted(starts, t1, side="left"))
-        span = np.minimum(ends[lo:hi], t1) - np.maximum(starts[lo:hi], t0)
-        r = np.repeat(np.arange(lo, hi), span)
-        cell = data[:, r]
-        digits = np.arange(t0, t1, dtype=np.int64) - starts[r]
-        s = np.zeros(t1 - t0, dtype=np.int64)
-        for j in range(width):
-            Lj, cj, rj = cell[7 + 3 * j:10 + 3 * j]
-            if j < width - 1:
-                digits, w = np.divmod(digits, rj)
-            else:
-                w = digits  # the most significant digit is what remains
-            s -= cj * (w - Lj)
-        cnt = _pair_count_vec(*cell[:7], s)
-        first = np.concatenate(([0], np.cumsum(span[:-1])))
-        totals[lo:hi] += np.add.reduceat(cnt, first)
-    return totals.tolist()
 
 
 def count_zero_sum(d: Sequence[int], X: int) -> int:
@@ -451,45 +365,18 @@ def count_solutions(z: Sequence[int], X: int) -> int:
 
 def count_congruence(z: Sequence[int], r: int, X: int) -> int:
     """Exact cardinality of A_r(X): tuples (alpha_{r+1},...,alpha_n) in
-    [-X, X]^{n-r} with sum_{i>r} d_i alpha_i == 0 mod joint(r)."""
+    [-X, X]^{n-r} with sum_{i>r} d_i alpha_i == 0 mod q = joint(r).
+
+    The congruence holds exactly when sum_{i>r} d_i alpha_i + q t = 0 for
+    some integer t, which is unique and satisfies |t| <= sum_{i>r} d_i X / q,
+    so A_r(X) is one zero-sum box count with t as an extra coordinate.
+    """
     n = dimension_of(z)
     if not 1 <= r <= n - 1:
         raise ContractViolation(f"r must lie in [1, {n - 1}]")
     if X < 0:
         raise ContractViolation("X must be >= 0")
-    if X == 0:
-        return 1
     co = lattice_coefficients(z)
     q = co.d_joint(r)
-    if q == 1:
-        return (2 * X + 1) ** (n - r)
-    lead = co.d[r]  # coefficient of alpha_{r+1}
-    rest = co.d[r + 1:]
-    g = math.gcd(lead, q)
-    M = q // g
-    inv = pow((lead // g) % M, -1, M) if M > 1 else 0
-
-    def closed(s: int) -> int:
-        # alpha_{r+1} with lead * alpha == -s (mod q)
-        if s % g:
-            return 0
-        a0 = (-(s // g) % M) * inv % M
-        return (X - a0) // M + (X + a0) // M + 1
-
-    if not rest:
-        return closed(0)
-    reach = sum(c * X for c in rest) + q
-    if reach < _VEC_LIMIT and M * M < _VEC_LIMIT:
-        s = np.zeros(1, dtype=np.int64)
-        for c in rest:
-            w = np.arange(-X, X + 1, dtype=np.int64) * c
-            s = (s[:, None] + w[None, :]).ravel()
-        ok = s % g == 0
-        sq = np.where(ok, s, 0) // g
-        a0 = (-sq % M) * inv % M if M > 1 else np.zeros_like(sq)
-        cnt = (X - a0) // M + (X + a0) // M + 1
-        return int(np.where(ok, cnt, 0).sum())
-    total = 0
-    for combo in itertools.product(range(-X, X + 1), repeat=len(rest)):
-        total += closed(sum(c * w for c, w in zip(rest, combo)))
-    return total
+    rest = co.d[r:]
+    return count_zero_sum_boxes(rest + (q,), [X] * len(rest) + [sum(rest) * X // q])

@@ -1,7 +1,8 @@
 """Self-contained verification suites wiring the module invariants to
-independent oracles (brute-force grids, naive set arithmetic, Monte
-Carlo).  The command-line ``verify`` subcommand dispatches here; the
-test suite runs the same batteries at larger sizes.
+independent oracles (the definition-level grids and draws of ``oracles``,
+Monte Carlo).  The command-line ``verify`` subcommand dispatches here;
+the test suite checks the same invariants, in its own loops, at larger
+sizes.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import constants, counting, factorization, lattice, toric
+from .oracles import (brute_congruence, brute_count_points, brute_zero_sum,
+                      random_reduced)
 
 
 @dataclass(frozen=True)
@@ -26,66 +29,6 @@ class CheckResult:
 
 SUITES = ("bijection", "lattice", "methods", "polynomials", "toric",
           "constants", "all")
-
-
-# ------------------------------- oracles -------------------------------
-
-def naive_incomparable(h: int, l: int, n: int) -> bool:
-    a = set(factorization.members(h, n))
-    b = set(factorization.members(l, n))
-    return not (a <= b or b <= a)
-
-
-def naive_is_reduced(z: tuple[int, ...], n: int) -> bool:
-    top = 1 << n
-    return all(math.gcd(z[h - 1], z[l - 1]) == 1
-               for h in range(1, top) for l in range(h + 1, top)
-               if naive_incomparable(h, l, n))
-
-
-def brute_zero_sum(d: tuple[int, ...], X: int) -> int:
-    grids = np.meshgrid(*[np.arange(-X, X + 1)] * len(d), indexing="ij", sparse=True)
-    acc = sum(c * g for c, g in zip(d, grids))
-    return int((acc == 0).sum())
-
-
-def brute_congruence(d: tuple[int, ...], q: int, r: int, X: int) -> int:
-    rest = d[r:]
-    grids = np.meshgrid(*[np.arange(-X, X + 1)] * len(rest), indexing="ij", sparse=True)
-    acc = sum(c * g for c, g in zip(rest, grids))
-    return int((acc % q == 0).sum())
-
-
-def random_reduced(rng: np.random.Generator, n: int, zmax: int) -> tuple[int, ...]:
-    """Uniformly fill indices in random order, restricted at each step to
-    values coprime to the already placed incomparable entries (1 always
-    qualifies, so the draw never blocks)."""
-    top = (1 << n) - 1
-    z = [1] * top
-    order = list(rng.permutation(top) + 1)
-    for h in order:
-        pool = [v for v in range(1, zmax + 1)
-                if all(math.gcd(v, z[l - 1]) == 1
-                       for l in range(1, top + 1)
-                       if z[l - 1] > 1 and naive_incomparable(h, l, n))]
-        z[h - 1] = int(pool[rng.integers(0, len(pool))])
-    assert naive_is_reduced(tuple(z), n)
-    return tuple(z)
-
-
-def brute_count_points(n: int, B: float) -> int:
-    """Full representative enumeration; feasible only for tiny B."""
-    if B < 1:
-        return 0
-    X = counting.int_nth_root(math.floor(B), n)
-    count = 0
-    for y in itertools.product(range(1, X + 1), repeat=n):
-        for x in itertools.product(range(-X, X + 1), repeat=n):
-            if counting.ambient_equation(x, y) != 0:
-                continue
-            if math.gcd(*x, *y) == 1:
-                count += 1
-    return (1 << (n - 1)) * count
 
 
 # ------------------------------- batteries -------------------------------

@@ -1,51 +1,17 @@
-"""Independent brute-force oracles used by the tests.
+"""Test-only oracles: Monte Carlo slab volumes, dilation counting and the
+series form of the Eulerian polynomials.
 
-Everything here is written directly from the definitions (set
-containment, grid enumeration, dilation counting), deliberately avoiding
-the package's own code paths.
+Like ``hypercount.oracles``, which holds the oracles that ``verify``
+shares with the tests, everything here is written directly from the
+definitions and avoids the package's own code paths.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
-
-
-def subset_of(h: int, n: int) -> frozenset[int]:
-    return frozenset(j for j in range(1, n + 1) if (h >> (j - 1)) & 1)
-
-
-def incomparable(h: int, l: int, n: int) -> bool:
-    a, b = subset_of(h, n), subset_of(l, n)
-    return not (a <= b or b <= a)
-
-
-def reduced_by_definition(z: tuple[int, ...], n: int) -> bool:
-    top = 1 << n
-    return all(math.gcd(z[h - 1], z[l - 1]) == 1
-               for h in range(1, top) for l in range(h + 1, top)
-               if incomparable(h, l, n))
-
-
-def grid_zero_sum_boxes(coeffs, limits) -> int:
-    grids = np.meshgrid(*[np.arange(-L, L + 1) for L in limits],
-                        indexing="ij", sparse=True)
-    total = sum(c * g for c, g in zip(coeffs, grids))
-    return int(np.sum(total == 0))
-
-
-def grid_zero_sum(d: tuple[int, ...], X: int) -> int:
-    return grid_zero_sum_boxes(d, [X] * len(d))
-
-
-def grid_congruence(d: tuple[int, ...], q: int, r: int, X: int) -> int:
-    rest = d[r:]
-    grids = np.meshgrid(*[np.arange(-X, X + 1)] * len(rest), indexing="ij", sparse=True)
-    total = sum(c * g for c, g in zip(rest, grids))
-    return int((total % q == 0).sum())
 
 
 def mc_slab(weights, bound, samples=200_000, seed=7) -> tuple[float, float]:
@@ -54,31 +20,6 @@ def mc_slab(weights, bound, samples=200_000, seed=7) -> tuple[float, float]:
     vals = (np.abs(alpha @ np.asarray(weights, dtype=float)) <= bound)
     scale = 2.0 ** len(weights)
     return scale * vals.mean(), scale * vals.std() / math.sqrt(samples)
-
-
-def solutions_by_grid(n: int, X: int):
-    """All primitive integer solutions (x, y) with 1 <= y_i <= X and
-    |x_i| <= X, found by direct evaluation of the defining equation."""
-    rng = np.arange(-X, X + 1)
-    xs = np.stack(np.meshgrid(*[rng] * n, indexing="ij"), axis=-1).reshape(-1, n)
-    for y in itertools.product(range(1, X + 1), repeat=n):
-        cof = np.array([math.prod(y[j] for j in range(n) if j != i)
-                        for i in range(n)], dtype=np.int64)
-        hits = xs[(xs @ cof) == 0]
-        for x in hits:
-            vals = [int(v) for v in x] + list(y)
-            if math.gcd(*vals) == 1:
-                yield tuple(int(v) for v in x), y
-
-
-def count_points_by_grid(n: int, B: float) -> int:
-    if B < 1:
-        return 0
-    X = 0
-    while (X + 1) ** n <= math.floor(B):
-        X += 1
-    total = sum(1 for _ in solutions_by_grid(n, X))
-    return (1 << (n - 1)) * total
 
 
 def dilation_volume_n3() -> Fraction:

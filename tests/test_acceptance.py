@@ -22,10 +22,9 @@ from hypercount.constants import (AssemblyConfig, assemble_constant,
 from hypercount.counting import count_points
 from hypercount.factorization import compose, factorize, tuple_product
 from hypercount.lattice import count_congruence, count_solutions, lattice_coefficients
+from hypercount.oracles import (brute_congruence, brute_count_points,
+                                brute_zero_sum, random_reduced)
 from hypercount.toric import enumerate_variety
-
-from oracles import count_points_by_grid, grid_congruence, grid_zero_sum
-from test_factorization import _random_reduced
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -84,13 +83,13 @@ def test_criterion_2_lattice_oracle_equivalence():
     mismatches = 0
     for trial in range(1000):
         n = 3 if trial % 2 == 0 else 4
-        z = _random_reduced(rng, n, 6)
+        z = random_reduced(rng, n, 6)
         X = int(rng.integers(0, 13))
         co = lattice_coefficients(z)
-        if count_solutions(z, X) != grid_zero_sum(co.d, X):
+        if count_solutions(z, X) != brute_zero_sum(co.d, X):
             mismatches += 1
         r = int(rng.integers(1, n))
-        if count_congruence(z, r, X) != grid_congruence(co.d, co.d_joint(r), r, X):
+        if count_congruence(z, r, X) != brute_congruence(co.d, co.d_joint(r), r, X):
             mismatches += 1
     dt = time.perf_counter() - t0
     _report(2, mismatches == 0 and dt < 30,
@@ -153,7 +152,7 @@ def test_criterion_7_counting_methods_agree(method_counts):
         if len(set(vals.values())) != 1:
             disagreements.append((key, vals))
     n1 = method_counts[(3, 1.0)]["direct"]
-    oracle = count_points_by_grid(3, 1)
+    oracle = brute_count_points(3, 1)
     dt = method_counts["seconds"]
     ok = not disagreements and n1 == oracle == 28 and dt < 300
     detail = (f"10 (n, B) cells, all three pipelines identical; "

@@ -12,8 +12,7 @@ from hypercount.counting import (CountReport, PrimitiveSolution, TorsorPoint,
                                  squarefree_divisors, torsor_lift, torsor_push)
 from hypercount.errors import ContractViolation, PrimitivityError, ResourceLimit
 from hypercount.factorization import compose, factorize, is_reduced
-
-from oracles import count_points_by_grid, solutions_by_grid
+from hypercount.oracles import brute_count_points, solutions_by_grid
 
 
 def test_int_nth_root():
@@ -177,7 +176,7 @@ def test_count_edge_cases():
 
 def test_counts_match_grid_oracle_small():
     for B in (1, 10, 100, 700):
-        expect = count_points_by_grid(3, B)
+        expect = brute_count_points(3, B)
         for method in ("direct", "moebius", "torsor"):
             assert count_points(3, B, method).count == expect
 

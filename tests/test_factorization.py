@@ -10,8 +10,8 @@ from hypercount.factorization import (Dominance, SubsetIndex, compose,
                                       incomparable_pairs, is_reduced, members,
                                       relation, subset_relation,
                                       tuple_product, weight)
-
-from oracles import incomparable, reduced_by_definition
+from hypercount.oracles import (incomparable, random_reduced,
+                                reduced_by_definition)
 
 
 def test_subset_relation_examples():
@@ -127,22 +127,10 @@ def test_roundtrip_randomized(n):
         assert tuple_product(z) == math.lcm(*y)
 
 
-def _random_reduced(rng, n, zmax):
-    top = (1 << n) - 1
-    z = [1] * top
-    for h in rng.permutation(top) + 1:
-        pool = [v for v in range(1, zmax + 1)
-                if all(math.gcd(v, z[l - 1]) == 1
-                       for l in range(1, top + 1)
-                       if z[l - 1] > 1 and incomparable(h, l, n))]
-        z[h - 1] = int(pool[rng.integers(0, len(pool))])
-    return tuple(z)
-
-
 @pytest.mark.parametrize("n", [3, 4])
 def test_factorize_inverts_compose_on_reduced_tuples(n):
     rng = np.random.default_rng(11 + n)
     for _ in range(300):
-        z = _random_reduced(rng, n, 6)
+        z = random_reduced(rng, n, 6)
         assert reduced_by_definition(z, n)
         assert factorize(compose(z)) == z

@@ -8,17 +8,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypercount import lattice
-from hypercount.errors import ContractViolation, ResourceLimit
+from hypercount.errors import ContractViolation
 from hypercount.factorization import factorize
 from hypercount.lattice import (_pair_count_scalar, count_congruence,
                                 count_solutions, count_zero_sum_boxes,
-                                count_zero_sum_rows, lattice_coefficients,
-                                slab_volume, slab_volume_float,
-                                solution_main_term, tuple_slab_volume)
+                                lattice_coefficients, slab_volume,
+                                slab_volume_float, solution_main_term,
+                                tuple_slab_volume)
+from hypercount.oracles import (brute_congruence, brute_zero_sum,
+                                brute_zero_sum_boxes, random_reduced)
 
-from oracles import (grid_congruence, grid_zero_sum, grid_zero_sum_boxes,
-                     mc_slab)
-from test_factorization import _random_reduced
+from oracles import mc_slab
 
 
 def test_coefficient_examples():
@@ -35,7 +35,7 @@ def test_coefficient_identities(n):
     from hypercount.factorization import compose, tuple_product
     rng = np.random.default_rng(20 + n)
     for _ in range(200):
-        z = _random_reduced(rng, n, 6)
+        z = random_reduced(rng, n, 6)
         co = lattice_coefficients(z)
         y = compose(z)
         total = tuple_product(z)
@@ -109,7 +109,7 @@ def test_tuple_slab_range():
     rng = np.random.default_rng(9)
     for n in (3, 4):
         for _ in range(100):
-            z = _random_reduced(rng, n, 6)
+            z = random_reduced(rng, n, 6)
             b = tuple_slab_volume(z)
             assert 0 <= b <= 2 ** (n - 1)
 
@@ -122,7 +122,10 @@ def test_count_examples():
     assert count_congruence((1,) * 7, 1, 4) == 9 ** 2
     z = (1, 1, 1, 2, 1, 1, 1)
     co = lattice_coefficients(z)
-    assert count_congruence(z, 1, 2) == grid_congruence(co.d, co.d_joint(1), 1, 2)
+    assert count_congruence(z, 1, 2) == brute_congruence(co.d, co.d_joint(1), 1, 2)
+    for r, X in ((0, 1), (3, 1), (1, -1)):
+        with pytest.raises(ContractViolation):
+            count_congruence(z, r, X)
 
 
 def _scalar_zero_sum_boxes(coeffs, limits):
@@ -136,65 +139,45 @@ def _scalar_zero_sum_boxes(coeffs, limits):
     return total
 
 
-def _rows(cases):
-    return [c for c, _ in cases], [L for _, L in cases]
-
-
 def test_count_zero_sum_boxes_against_grid():
-    rng = np.random.default_rng(17)
-    cases, expect = [], []
-    for _ in range(200):
-        m = int(rng.integers(2, 5))
-        coeffs = tuple(int(v) for v in rng.integers(1, 9, size=m))
-        limits = tuple(int(v) for v in rng.integers(0, 9, size=m))
-        want = grid_zero_sum_boxes(coeffs, limits)
-        assert count_zero_sum_boxes(coeffs, limits) == want
-        cases.append((coeffs, limits))
-        expect.append(want)
-    # the same rows through the row kernel, in one batch
-    assert count_zero_sum_rows(*_rows(cases)) == expect
-
-
-def test_count_zero_sum_rows_edge_rows_and_wide_rows():
     cases = [((), ()), ((3,), (0,)), ((3,), (5,)), ((2, 5), (0, 0)),
              ((2, 5), (0, 7)), ((4, 6, 9), (0, 3, 0)), ((4, 6, 9), (2, 0, 3)),
              ((1, 1, 1, 1, 1), (0, 0, 0, 0, 0))]
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        m = int(rng.integers(2, 5))
+        cases.append((tuple(int(v) for v in rng.integers(1, 9, size=m)),
+                      tuple(int(v) for v in rng.integers(0, 9, size=m))))
     rng = np.random.default_rng(41)
     for _ in range(150):
         m = int(rng.integers(3, 6))
         coeffs = tuple(int(v) for v in rng.integers(1, 12, size=m))
         limits = tuple(int(v) for v in rng.integers(0, 6 if m == 5 else 9, size=m))
         cases.append((coeffs, limits))
-    expect = [grid_zero_sum_boxes(c, L) for c, L in cases]
-    assert count_zero_sum_rows(*_rows(cases)) == expect
-    assert [count_zero_sum_boxes(c, L) for c, L in cases] == expect
-    assert count_zero_sum_rows([], []) == []
+    for coeffs, limits in cases:
+        assert count_zero_sum_boxes(coeffs, limits) == brute_zero_sum_boxes(coeffs, limits)
 
 
-def test_count_zero_sum_rows_across_chunks(monkeypatch):
+def test_count_zero_sum_boxes_across_chunks(monkeypatch):
     rng = np.random.default_rng(43)
     cases = []
     for _ in range(60):
         m = int(rng.integers(2, 6))
         cases.append((tuple(int(v) for v in rng.integers(1, 9, size=m)),
                       tuple(int(v) for v in rng.integers(0, 5, size=m))))
-    expect = [grid_zero_sum_boxes(c, L) for c, L in cases]
-    # a cap of 5 cells splits most rows and makes the batch span many steps
-    monkeypatch.setattr(lattice, "_ROW_CELLS", 5)
-    assert count_zero_sum_rows(*_rows(cases)) == expect
-
-
-def test_count_zero_sum_rows_row_above_the_cell_cap():
-    # outer grid of 61 * 81 * 3 cells > _ROW_CELLS, between two small rows
+    expect = [brute_zero_sum_boxes(c, L) for c, L in cases]
+    # an outer grid of 3 * 61 * 81 cells, too large for the grid oracle
     big = ((7, 3, 5, 11, 13), (30, 40, 1, 90, 100))
-    assert 61 * 81 * 3 > lattice._ROW_CELLS
-    cases = [((1, 2, 3), (2, 2, 2)), big, ((5, 5), (3, 3))]
-    got = count_zero_sum_rows(*_rows(cases))
-    assert got == [count_zero_sum_boxes(c, L) for c, L in cases]
-    assert got[0] == grid_zero_sum_boxes(*cases[0])
+    big_count = _scalar_zero_sum_boxes(*big)
+    assert count_zero_sum_boxes(*big) == big_count
+    # a cap of 5 cells makes most outer grids peel one coordinate at a
+    # time, and the big row all the way down to single cells
+    monkeypatch.setattr(lattice, "_CHUNK", 5)
+    assert [count_zero_sum_boxes(c, L) for c, L in cases] == expect
+    assert count_zero_sum_boxes(*big) == big_count
 
 
-def test_count_zero_sum_rows_on_both_sides_of_the_int64_switch():
+def test_count_zero_sum_boxes_on_both_sides_of_the_int64_switch():
     assert lattice._VEC_LIMIT == 1 << 60
     rng = np.random.default_rng(47)
     cases = [((1, 1, 1 << 61), (5, 5, 1)), ((1 << 61, 3, 1 << 61), (1, 4, 2))]
@@ -207,24 +190,19 @@ def test_count_zero_sum_rows_on_both_sides_of_the_int64_switch():
         for scale in (1, 1 << 20, 1 << 40, 10 ** 20):
             cases.append((tuple(c * scale for c in coeffs), limits))
     expect = [_scalar_zero_sum_boxes(c, L) for c, L in cases]
-    assert count_zero_sum_rows(*_rows(cases)) == expect
+    assert [count_zero_sum_boxes(c, L) for c, L in cases] == expect
     assert expect[:2] == [11, 3]
     for i in range(2, len(cases), 4):
-        assert expect[i:i + 4] == [grid_zero_sum_boxes(*cases[i])] * 4
+        assert expect[i:i + 4] == [brute_zero_sum_boxes(*cases[i])] * 4
 
 
-def test_count_zero_sum_rows_contract():
+def test_count_zero_sum_boxes_contract():
     with pytest.raises(ContractViolation):
-        count_zero_sum_rows([(1, 2)], [(1, 2), (3, 4)])
+        count_zero_sum_boxes((1, 2), (1, 2, 3))
     with pytest.raises(ContractViolation):
-        count_zero_sum_rows([(1, 2)], [(1, 2, 3)])
+        count_zero_sum_boxes((0, 2), (1, 2))
     with pytest.raises(ContractViolation):
-        count_zero_sum_rows([(1, 2), (0, 2)], [(1, 2), (1, 2)])
-    with pytest.raises(ContractViolation):
-        count_zero_sum_rows([(1, 2), (1, 2)], [(1, 2), (1, -1)])
-    # 2^200 outer cells would overflow the int64 flat index
-    with pytest.raises(ResourceLimit):
-        count_zero_sum_rows([(1,) * 7], [(1 << 40,) * 7])
+        count_zero_sum_boxes((1, 2), (1, -1))
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -268,9 +246,8 @@ def _with_examples(test):
 @_with_examples
 def test_three_coordinate_rows_against_the_grid(row):
     coeffs, limits = row
-    want = grid_zero_sum_boxes(coeffs, limits)
+    want = brute_zero_sum_boxes(coeffs, limits)
     assert count_zero_sum_boxes(coeffs, limits) == want
-    assert count_zero_sum_rows([coeffs], [limits]) == [want]
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -286,7 +263,6 @@ def test_three_coordinate_rows_scaled_past_int64(row):
         assert (max(scaled) ** 2 < lattice._VEC_LIMIT) == (scale == 1)
         assert _scalar_zero_sum_boxes(scaled, limits) == want
         assert count_zero_sum_boxes(scaled, limits) == want
-        assert count_zero_sum_rows([scaled], [limits]) == [want]
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -298,14 +274,12 @@ def test_wide_rows_past_int64_against_the_grid(row, scale):
     coeffs, limits = row
     scaled = [c * scale for c in coeffs]
     assert not lattice._fits_int64(lattice._active_pairs(scaled, limits))
-    want = grid_zero_sum_boxes(coeffs, limits)
+    want = brute_zero_sum_boxes(coeffs, limits)
     assert count_zero_sum_boxes(scaled, limits) == want
-    assert count_zero_sum_rows([scaled], [limits]) == [want]
     # nearly equal huge coefficients: a solution must cancel in both parts
     mixed = [c + k for k, c in enumerate(scaled)]
     want = _scalar_zero_sum_boxes(mixed, limits)
     assert count_zero_sum_boxes(mixed, limits) == want
-    assert count_zero_sum_rows([mixed], [limits]) == [want]
 
 
 def test_wide_rows_past_int64_enumerate_all_but_three(monkeypatch):
@@ -315,7 +289,7 @@ def test_wide_rows_past_int64_enumerate_all_but_three(monkeypatch):
                         lambda *args: calls.append(args) or triple(*args))
     coeffs, limits = (3, 5, 7, 2, 1), (4, 3, 2, 2, 1)
     scaled = tuple(c << 61 for c in coeffs)
-    assert count_zero_sum_boxes(scaled, limits) == grid_zero_sum_boxes(coeffs, limits)
+    assert count_zero_sum_boxes(scaled, limits) == brute_zero_sum_boxes(coeffs, limits)
     # the two smallest boxes, L = 1 and L = 2, are the enumerated cells
     assert len(calls) == 3 * 5
 
@@ -324,12 +298,12 @@ def test_counts_match_grids_randomized():
     rng = np.random.default_rng(23)
     for trial in range(400):
         n = 3 if trial % 2 == 0 else 4
-        z = _random_reduced(rng, n, 6)
+        z = random_reduced(rng, n, 6)
         X = int(rng.integers(0, 13))
         co = lattice_coefficients(z)
-        assert count_solutions(z, X) == grid_zero_sum(co.d, X)
+        assert count_solutions(z, X) == brute_zero_sum(co.d, X)
         r = int(rng.integers(1, n))
-        assert count_congruence(z, r, X) == grid_congruence(co.d, co.d_joint(r), r, X)
+        assert count_congruence(z, r, X) == brute_congruence(co.d, co.d_joint(r), r, X)
 
 
 def test_count_scalar_path_with_huge_entries():
