@@ -140,14 +140,18 @@ def _scalar_zero_sum_boxes(coeffs, limits):
 
 
 def test_count_zero_sum_boxes_against_grid():
-    cases = [((), ()), ((3,), (0,)), ((3,), (5,)), ((2, 5), (0, 0)),
-             ((2, 5), (0, 7)), ((4, 6, 9), (0, 3, 0)), ((4, 6, 9), (2, 0, 3)),
-             ((1, 1, 1, 1, 1), (0, 0, 0, 0, 0))]
     rng = np.random.default_rng(17)
     for _ in range(200):
         m = int(rng.integers(2, 5))
-        cases.append((tuple(int(v) for v in rng.integers(1, 9, size=m)),
-                      tuple(int(v) for v in rng.integers(0, 9, size=m))))
+        coeffs = tuple(int(v) for v in rng.integers(1, 9, size=m))
+        limits = tuple(int(v) for v in rng.integers(0, 9, size=m))
+        assert count_zero_sum_boxes(coeffs, limits) == brute_zero_sum_boxes(coeffs, limits)
+
+
+def test_count_zero_sum_rows_edge_rows_and_wide_rows():
+    cases = [((), ()), ((3,), (0,)), ((3,), (5,)), ((2, 5), (0, 0)),
+             ((2, 5), (0, 7)), ((4, 6, 9), (0, 3, 0)), ((4, 6, 9), (2, 0, 3)),
+             ((1, 1, 1, 1, 1), (0, 0, 0, 0, 0))]
     rng = np.random.default_rng(41)
     for _ in range(150):
         m = int(rng.integers(3, 6))
@@ -158,7 +162,7 @@ def test_count_zero_sum_boxes_against_grid():
         assert count_zero_sum_boxes(coeffs, limits) == brute_zero_sum_boxes(coeffs, limits)
 
 
-def test_count_zero_sum_boxes_across_chunks(monkeypatch):
+def test_count_zero_sum_rows_across_chunks(monkeypatch):
     rng = np.random.default_rng(43)
     cases = []
     for _ in range(60):
@@ -166,15 +170,23 @@ def test_count_zero_sum_boxes_across_chunks(monkeypatch):
         cases.append((tuple(int(v) for v in rng.integers(1, 9, size=m)),
                       tuple(int(v) for v in rng.integers(0, 5, size=m))))
     expect = [brute_zero_sum_boxes(c, L) for c, L in cases]
-    # an outer grid of 3 * 61 * 81 cells, too large for the grid oracle
-    big = ((7, 3, 5, 11, 13), (30, 40, 1, 90, 100))
-    big_count = _scalar_zero_sum_boxes(*big)
-    assert count_zero_sum_boxes(*big) == big_count
-    # a cap of 5 cells makes most outer grids peel one coordinate at a
-    # time, and the big row all the way down to single cells
+    # a cap of 5 cells makes most outer grids peel one coordinate at a time
     monkeypatch.setattr(lattice, "_CHUNK", 5)
     assert [count_zero_sum_boxes(c, L) for c, L in cases] == expect
-    assert count_zero_sum_boxes(*big) == big_count
+
+
+def test_count_zero_sum_rows_row_above_the_cell_cap(monkeypatch):
+    # an outer grid of 3 * 61 * 81 cells, too large for the grid oracle,
+    # between two small rows
+    big = ((7, 3, 5, 11, 13), (30, 40, 1, 90, 100))
+    cases = [((1, 2, 3), (2, 2, 2)), big, ((5, 5), (3, 3))]
+    expect = [brute_zero_sum_boxes(*cases[0]), _scalar_zero_sum_boxes(*big),
+              brute_zero_sum_boxes(*cases[2])]
+    assert [count_zero_sum_boxes(c, L) for c, L in cases] == expect
+    # with a cap of 5 cells the big row peels down to single cells
+    monkeypatch.setattr(lattice, "_CHUNK", 5)
+    assert 61 * 81 * 3 > lattice._CHUNK
+    assert [count_zero_sum_boxes(c, L) for c, L in cases] == expect
 
 
 def test_count_zero_sum_boxes_on_both_sides_of_the_int64_switch():
