@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import os
+import struct
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -39,11 +40,24 @@ WORKERS_ENV = "HYPERCOUNT_WORKERS"
 METHODS = ("direct", "moebius", "torsor")
 
 # cells a count may enumerate (see _work_estimate): it admits n = 3 up to
-# B ~ 7e7 and n = 4 up to B ~ 1.3e7, and refuses what would run for about
-# an hour or more
+# B ~ 3e8 and n = 4 up to B ~ 1.5e7, and refuses what would run for more
+# than five to ten minutes (at 0.03 us a cell, see below)
 _WORK_BUDGET = 10 ** 10
 
-_TORSOR_CAP = 1 << 13  # distinct leaves, or distinct rows, a torsor shard holds
+# An n = 3 box closes in floor sums, so an n = 3 count makes one closed-form
+# call per sorted tuple instead of enumerating cells.  Measured on a 2-vCPU
+# x86 host: direct at n = 3, B = 1e6 spends about 6.8 us a tuple and the
+# numpy path at n = 4 about 0.03 us a cell, so a call costs about 200 cells.
+_CLOSED_FORM_CELLS = 200
+
+# The torsor search expands up to _TORSOR_CAP candidates, or rows, per
+# numpy batch and merges rows in a dict of at most 8 * _TORSOR_CAP keys.
+# Peak RSS grows with the batch, time falls as the dict grows (each row
+# flush counts the rows that recur after it again).  Measured at n = 3,
+# B = 2e5 in one process after direct and moebius: 34.1 MB with this
+# setting, 36.8 MB with 2^14 batches, 33.3 MB before batching; an
+# 8,192-key dict made 16,488 kernel calls, this one 8,850.
+_TORSOR_CAP = 1 << 11
 
 
 # ------------------------------ arithmetic ------------------------------
@@ -310,113 +324,151 @@ def _moebius_shard(n: int, X: int, shard: int, shards: int) -> int:
     return total
 
 
+def _distinct_rows(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D int64 array in lexicographic order, with
+    the weights of equal rows added up: ``np.unique(axis=0)`` by one
+    lexsort and a boundary diff, at a fraction of its cost."""
+    if not len(keys):
+        return keys, weights
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
+    return keys[starts], np.add.reduceat(weights[order], starts)
+
+
+def _packs_in_int64(n: int, X: int) -> bool:
+    """Whether the torsor's packed fields fit int64 (see _torsor_shard)."""
+    return (n + 1) * X.bit_length() <= 62
+
+
 def _torsor_shard(n: int, X: int, shard: int, shards: int) -> int:
     """Reduced-tuple enumeration.
 
     Depth-first over z_h for h != 2^n - 1 in descending subset size
     (ascending h inside a level), pruning on the partial coordinate
-    products.  The top variable carries no coprimality constraint, so its
-    range [1, Z] is closed in one divisor sum: for each squarefree m,
+    products; a candidate is kept when it is coprime to P, the product
+    of the z's already set that are incomparable with h.  The top
+    variable carries no coprimality constraint, so its range [1, Z] is
+    closed in one divisor sum: for each squarefree m,
     mu(m) * floor(Z/m) * #{x' : m | x'_j z_{2^{j-1}} for all j} where the
     inner count is a box-restricted zero-sum count.
 
-    That sum depends only on Z and the pairs (z_{2^j}, cof_j), and it is
-    symmetric in j, so a leaf only adds 1 to the multiplicity of its key
-    (Z, sorted pairs).  Each distinct leaf then expands into one row per
-    squarefree m, keyed by its sorted (coeff, limit) pairs with the zero
-    limits dropped; equal rows add up their weights, and every distinct
-    row with a nonzero weight is counted once by count_zero_sum_boxes.
-    Each dict is flushed when it holds _TORSOR_CAP keys (leaves first, so
-    a leaf flush may flush rows), so memory stays bounded whatever X.
+    Python walks only the internal levels.  The last one, the singleton
+    z_{2^{n-1}}, is buffered as its parent's state and expanded in numpy
+    once _TORSOR_CAP candidates are waiting.  The sum depends only on Z
+    and the pairs (z_{2^j}, cof_j) and is symmetric in j, so a leaf is Z
+    and its sorted pairs, and equal leaves merge with their multiplicity.
+    The distinct leaves expand over squarefree m into rows of sorted
+    (coeff, limit) pairs, at most _TORSOR_CAP rows at a time; equal rows
+    add up their weights in a dict keyed by the row's bytes and flushed
+    at 8 * _TORSOR_CAP keys, and each distinct row with a nonzero weight
+    is counted once by count_zero_sum_boxes.  Memory stays bounded
+    whatever X.
+
+    Every field is packed into int64: z_{2^j}, Z and every limit are
+    <= X < 2^w, cof_j <= X^(n-1) and a row coefficient cof_j * q is
+    <= X^n, so a (coeff, limit) pair needs (n + 1) w bits, which
+    count_points checks (_packs_in_int64).
     """
     N = (1 << n) - 1
-    mu = mobius_sieve(X).tolist()
-    order = sorted(range(1, N), key=lambda h: (-weight(h), h))
+    last = 1 << (n - 1)
+    order = sorted(range(1, N), key=lambda h: (-weight(h), h))[:-1]
     mem = {h: members(h, n) for h in order}
     # cofactor indices (0-based) that a z_h with |h| >= 2 multiplies
     off = {h: [j - 1 for j in range(1, n + 1) if not bit(h, j)]
            if weight(h) >= 2 else [] for h in order}
-    incomp = {h: [l for l in order if not (h & l == h or h & l == l)] for h in order}
-    singletons = [1 << j for j in range(n)]
+    incomp = {h: [l for l in order if not (h & l == h or h & l == l)]
+              for h in order + [last]}
+    singletons = [1 << j for j in range(n - 1)]
     z = [1] * (N + 1)  # 1-based
     ypart = [1] * (n + 1)
     cof = [1] * n  # cof[j-1] = prod of z_h over |h| >= 2, j not in h
-    # Keys are packed into single ints, which take a fraction of the
-    # memory of tuples and hash faster.  Field widths follow from X < 2^w:
-    # z_{2^j}, Z and every limit are <= X, and cof_j <= prod_{k != j}
-    # ypart[k] <= X^(n-1), so a row coefficient cof_j * q (q <= Z) is <= X^n.
     w = X.bit_length()
-    cof_bits, leaf_bits, row_bits = (n - 1) * w, n * w, (n + 1) * w
-    low, cof_mask, coeff_mask = (1 << w) - 1, (1 << cof_bits) - 1, (1 << leaf_bits) - 1
-    leaves: dict[int, int] = {}  # Z, then n sorted (z_{2^j}, cof_j) -> multiplicity
-    rows: dict[int, int] = {}  # 1, then sorted (coeff, limit) pairs -> weight
+    cof_bits = (n - 1) * w
+    low, cof_mask = (1 << w) - 1, (1 << cof_bits) - 1
+    mu = mobius_sieve(X)
+    sqf = np.flatnonzero(mu)  # the squarefree m <= X, ascending
+    sqf_mu = mu[sqf]
+    sqf_upto = np.cumsum(mu != 0)  # sqf_upto[Z] = #{squarefree m <= Z}
+    # each parent of the last level: P, cap, max(ypart[:n]), ypart[n],
+    # z_{2^j} for j < n - 1, then cof
+    parents: list[int] = []
+    waiting = 0
+    rows: dict[bytes, int] = {}  # n sorted (coeff << w | limit), 0 if no limit
+    row_type = np.dtype((np.void, 8 * n))
+    unpack = struct.Struct(f"={n}q").unpack
     total = 0
 
     def flush_rows() -> None:
         nonlocal total
         for key, wt in rows.items():
-            if not wt:  # rows whose weights cancel drop out
-                continue
-            cs, Ls = [], []
-            while key > 1:
-                cs.append(key >> w & coeff_mask)
-                Ls.append(key & low)
-                key >>= row_bits
-            total += wt * count_zero_sum_boxes(cs, Ls)
+            if wt:  # rows whose weights cancel drop out
+                active = [p for p in unpack(key) if p]
+                total += wt * count_zero_sum_boxes([p >> w for p in active],
+                                                   [p & low for p in active])
         rows.clear()
 
-    def flush_leaves() -> None:
-        for key, mult in leaves.items():
-            pairs = []
-            for _ in range(n):
-                v = key >> cof_bits & low
-                pairs.append((v, key & cof_mask, X // v))
-                key >>= leaf_bits
-            Z = key
-            for m in range(1, Z + 1):
-                sign = mu[m]
-                if not sign:
-                    continue
-                row = []
-                for v, c, b in pairs:
-                    q = m // math.gcd(m, v)
-                    if b >= q:  # a zero limit drops out of the count
-                        row.append(c * q << w | b // q)
-                row.sort()
-                rkey = 1
-                for pair in row:
-                    rkey = rkey << row_bits | pair
-                rows[rkey] = rows.get(rkey, 0) + mult * sign * (Z // m)
-                if len(rows) >= _TORSOR_CAP:
+    def expand(leaves: np.ndarray, mult: np.ndarray) -> None:
+        Z, pairs = leaves[:, 0], leaves[:, 1:]
+        v, c = pairs >> cof_bits, pairs & cof_mask
+        b = X // v
+        size = sqf_upto[Z]  # leaf i expands rows begin[i] .. end[i] - 1
+        end = np.cumsum(size)
+        begin = end - size
+        lo = 0
+        while lo < len(Z):  # at most _TORSOR_CAP rows at a time, or one leaf's
+            hi = max(lo + 1, int(np.searchsorted(end, begin[lo] + _TORSOR_CAP, "right")))
+            idx = np.repeat(np.arange(lo, hi), size[lo:hi])
+            pos = np.arange(len(idx)) - np.repeat(begin[lo:hi] - begin[lo], size[lo:hi])
+            m = sqf[pos]
+            q = m[:, None] // np.gcd(m[:, None], v[idx])
+            lim = b[idx] // q
+            keys = np.where(lim > 0, c[idx] * q << w | lim, 0)
+            keys.sort(axis=1)
+            keys, wts = _distinct_rows(keys, mult[idx] * sqf_mu[pos] * (Z[idx] // m))
+            nz = wts != 0
+            for k, wt in zip(keys[nz].view(row_type).ravel().tolist(), wts[nz].tolist()):
+                rows[k] = rows.get(k, 0) + wt
+                if len(rows) >= 8 * _TORSOR_CAP:
                     flush_rows()
-        leaves.clear()
+            lo = hi
 
-    def leaf() -> None:
-        key = X // max(ypart)  # Z; ypart[0] stays 1, below every ypart[j]
-        for pair in sorted([z[h] << cof_bits | c for h, c in zip(singletons, cof)]):
-            key = key << leaf_bits | pair
-        leaves[key] = leaves.get(key, 0) + 1
-        if len(leaves) >= _TORSOR_CAP:
-            flush_leaves()
+    def flush_parents() -> None:
+        nonlocal waiting
+        par = np.array(parents, dtype=np.int64).reshape(-1, 2 * n + 3)
+        parents.clear()
+        waiting = 0
+        cap = par[:, 1]
+        idx = np.repeat(np.arange(len(par)), cap)
+        v = np.arange(1, len(idx) + 1) - np.repeat(np.cumsum(cap) - cap, cap)
+        keep = np.gcd(v, par[idx, 0]) == 1
+        idx, v = idx[keep], v[keep]
+        leaves = np.empty((len(v), n + 1), dtype=np.int64)
+        leaves[:, 0] = X // np.maximum(par[idx, 2], par[idx, 3] * v)
+        leaves[:, 1:n] = (par[:, 4:n + 3] << cof_bits | par[:, n + 3:-1])[idx]
+        leaves[:, n] = v << cof_bits | par[idx, -1]
+        leaves[:, 1:].sort(axis=1)
+        expand(*_distinct_rows(leaves, np.ones(len(v), dtype=np.int64)))
 
     def dfs(idx: int) -> None:
-        if idx == len(order):
-            leaf()
+        nonlocal waiting
+        if idx == len(order):  # only z_{2^{n-1}} is left: buffer this parent
+            cap = X // ypart[n]
+            parents.extend((math.prod([z[l] for l in incomp[last]]), cap,
+                            max(ypart[:n]), ypart[n], *[z[h] for h in singletons], *cof))
+            waiting += cap
+            if waiting >= _TORSOR_CAP:
+                flush_parents()
             return
         h = order[idx]
         cap = min(X // ypart[j] for j in mem[h])
+        P = math.prod([z[l] for l in incomp[h]])
         first = idx == 0
         for v in range(1, cap + 1):
             if first and v % shards != shard:
                 continue
-            if v > 1:
-                ok = True
-                for l in incomp[h]:
-                    if z[l] > 1 and math.gcd(v, z[l]) > 1:
-                        ok = False
-                        break
-                if not ok:
-                    continue
+            if v > 1 and math.gcd(v, P) > 1:
+                continue
             z[h] = v
             if v > 1:
                 for j in mem[h]:
@@ -432,7 +484,8 @@ def _torsor_shard(n: int, X: int, shard: int, shards: int) -> int:
             z[h] = 1
 
     dfs(0)
-    flush_leaves()
+    if parents:
+        flush_parents()
     flush_rows()
     return total
 
@@ -477,8 +530,12 @@ def _env_workers() -> int:
 
 def _work_estimate(n: int, X: int) -> int:
     """Cells a count enumerates, roughly: C(X+n-1, n) sorted y tuples,
-    each a kernel call over (2X+1)^(n-2) outer cells."""
-    return math.comb(X + n - 1, n) * (2 * X + 1) ** (n - 2)
+    each a kernel call over (2X+1)^(n-2) outer cells, or at n = 3 one
+    closed-form call worth _CLOSED_FORM_CELLS cells."""
+    tuples = math.comb(X + n - 1, n)
+    if n == 3:
+        return tuples * _CLOSED_FORM_CELLS
+    return tuples * (2 * X + 1) ** (n - 2)
 
 
 def count_points(n: int, B: float | Fraction, method: str = "direct",
@@ -487,7 +544,8 @@ def count_points(n: int, B: float | Fraction, method: str = "direct",
 
     B may be an int, a float or a Fraction; it is floored exactly.  A
     negative B is a ContractViolation, and a count whose work estimate
-    exceeds ``_WORK_BUDGET`` cells raises ResourceLimit before it starts.
+    exceeds ``_WORK_BUDGET`` cells, or a torsor count whose fields do not
+    pack into int64, raises ResourceLimit before it starts.
     All pipelines return identical values; ``shards`` partitions the
     outermost enumeration deterministically (the aggregate is independent
     of the partition).  Set HYPERCOUNT_WORKERS to run shards in parallel
@@ -507,6 +565,9 @@ def count_points(n: int, B: float | Fraction, method: str = "direct",
               or _work_estimate(n, X) > _WORK_BUDGET):
         raise ResourceLimit(f"count with n = {n}, X = {X} exceeds the "
                             f"budget of {_WORK_BUDGET:.0e} enumerated cells")
+    if method == "torsor" and not _packs_in_int64(n, X):
+        raise ResourceLimit(f"torsor count with n = {n}, X = {X} does not "
+                            f"pack into int64")
     workers = min(_env_workers(), shards, os.cpu_count() or 1)
     t0 = time.perf_counter()
     if not X:

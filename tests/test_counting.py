@@ -1,9 +1,12 @@
 import itertools
 import math
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypercount import counting
 from hypercount.counting import (CountReport, PrimitiveSolution, TorsorPoint,
@@ -109,21 +112,24 @@ def test_torsor_bijection_battery():
         lifted.add((t.xprime, t.z))
     assert len(lifted) == len(sols)
 
-    # independent torsor-side enumeration within the same height box
+    # independent torsor-side enumeration within the same height box: each
+    # x' box is built in numpy and filtered by the factorized equation and
+    # the primitivity gcd of coprimality_ok
     found = 0
     images = set()
     for y in itertools.product(range(1, X + 1), repeat=3):
         z = factorize(y)
-        caps = [X // z[(1 << (j - 1)) - 1] for j in range(1, 4)]
+        single = np.array([z[(1 << (j - 1)) - 1] for j in range(1, 4)])
         co = [math.prod(v for h, v in enumerate(z, start=1)
                         if bin(h).count("1") >= 2 and not ((h >> (j - 1)) & 1))
               for j in range(1, 4)]
-        for xp in itertools.product(*(range(-c, c + 1) for c in caps)):
-            if sum(a * b for a, b in zip(xp, co)) != 0:
-                continue
+        box = np.stack(np.meshgrid(*(np.arange(-c, c + 1) for c in X // single),
+                                   indexing="ij"), axis=-1).reshape(-1, 3)
+        box = box[box @ co == 0]
+        box = box[np.gcd.reduce(box * single, axis=1, initial=z[-1]) == 1]
+        for xp in map(tuple, box.tolist()):
             point = TorsorPoint(3, xp, z)
-            if not point.coprimality_ok():
-                continue
+            assert point.coprimality_ok()
             found += 1
             images.add(torsor_push(point))
     assert found == len(sols)
@@ -234,11 +240,69 @@ def test_torsor_counts_survive_tiny_flush_caps(monkeypatch, cap, n, B, expect):
 
 
 def test_oversize_count_is_refused_before_it_starts():
-    with pytest.raises(ResourceLimit):
-        count_points(3, 2e19, "direct")
+    for B in (1e10, 2e19):
+        with pytest.raises(ResourceLimit):
+            count_points(3, B, "direct")
     with pytest.raises(ResourceLimit):
         count_points(40, 2 ** 40, "torsor")  # X = 2: over budget by its size alone
     # the largest acceptance cells stay inside the budget
     for n, B in ((3, 10 ** 6), (4, 160000)):
         X = int_nth_root(B, n)
         assert counting._work_estimate(n, X) <= counting._WORK_BUDGET
+
+
+def test_n3_counts_are_priced_as_closed_form_calls(monkeypatch):
+    # every n = 3 box closes in floor sums, so B = 1e8 (X = 464) is a run
+    # of minutes and is admitted; the shards are stubbed out here
+    monkeypatch.setattr(counting, "_run_shard", lambda task: 0)
+    for method in ("direct", "moebius", "torsor"):
+        assert count_points(3, 1e8, method).count == 0
+
+
+def test_every_admitted_count_packs_into_int64():
+    budget = counting._WORK_BUDGET
+    admitted = 0
+    for n in range(3, 3 + budget.bit_length()):
+        X = 1
+        while counting._work_estimate(n, X) <= budget:
+            assert counting._packs_in_int64(n, X), (n, X)
+            admitted += 1
+            X += 1
+    assert admitted > 668  # n = 3 alone admits X <= 668
+    # past the budget, the torsor refuses what does not pack
+    assert not counting._packs_in_int64(3, 1 << 15)
+    with patch.object(counting, "_WORK_BUDGET", 10 ** 100):
+        with pytest.raises(ResourceLimit, match="int64"):
+            count_points(3, (1 << 15) ** 3, "torsor")
+
+
+@pytest.mark.parametrize("rows", [
+    np.array([[3, 1, 2], [0, 0, 0], [3, 1, 2], [1, 5, 0], [0, 0, 0], [3, 1, 2],
+              [1, 4, 9]]),
+    np.random.default_rng(8).integers(0, 4, size=(500, 4)),
+    np.array([[7, 7]]),
+    np.empty((0, 3), dtype=np.int64),
+])
+def test_distinct_rows_matches_np_unique(rows):
+    keys, mult = counting._distinct_rows(rows, np.ones(len(rows), dtype=np.int64))
+    expect, counts = np.unique(rows, axis=0, return_counts=True)
+    assert np.array_equal(keys, expect) and np.array_equal(mult, counts)
+    weights = np.arange(1, len(rows) + 1) * (-1) ** np.arange(len(rows))
+    sums: dict[tuple, int] = {}
+    for row, wt in zip(map(tuple, rows.tolist()), weights.tolist()):
+        sums[row] = sums.get(row, 0) + wt
+    keys, summed = counting._distinct_rows(rows, weights)
+    assert dict(zip(map(tuple, keys.tolist()), summed.tolist())) == sums
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(n=st.sampled_from([3, 4, 5]), X=st.integers(0, 12), extra=st.integers(0, 10 ** 6),
+       cap=st.integers(1, 64))
+def test_torsor_matches_direct_under_any_cap(n, X, extra, cap):
+    X = min(X, {3: 12, 4: 6, 5: 5}[n])
+    B = X ** n + extra % ((X + 1) ** n - X ** n)  # X = floor(B^(1/n))
+    expect = count_points(n, B, "direct").count
+    with patch.object(counting, "_TORSOR_CAP", cap):
+        assert count_points(n, B, "torsor").count == expect
+    if X ** n * (2 * X + 1) ** n <= 10 ** 5:  # the grid oracle's size
+        assert brute_count_points(n, B) == expect
