@@ -151,7 +151,7 @@ def build_parser() -> _Parser:
 def _int_param(text: str, name: str) -> int:
     try:
         value = int(float(text))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # nan; inf or beyond the float range
         raise _UsageError(f"invalid {name} {text!r}") from exc
     if value < 1:
         raise _UsageError(f"{name} must be positive")

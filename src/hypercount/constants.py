@@ -16,7 +16,10 @@ routes:
     once as alpha * beta * omega (cone volume times Tamagawa number).
 
 Monte Carlo uses counter-based (Philox) streams keyed by (seed, stream),
-so results are bit-identical for a fixed seed and sample plan.
+so results are bit-identical for a fixed seed and sample plan.  Each
+stream serves one block of MC_BLOCK samples; ``mc_mean`` evaluates a
+block _MC_ROWS rows at a time into one array and sums that array whole,
+so the chunk size changes neither the draws nor any sum.
 """
 
 from __future__ import annotations
@@ -34,6 +37,10 @@ from .factorization import bit, incomparable_pairs, weight
 from .lattice import slab_volume
 
 MC_BLOCK = 1 << 20  # samples per RNG stream
+# rows of a block evaluated at once: the draws and temporaries of a chunk
+# stay in cache, and a (2^20, d) block is never built whole
+_MC_ROWS = 1 << 14
+_PHILOX_WORDS = 4  # 64-bit outputs per Philox counter step, one per double
 
 
 # ------------------------------ polynomials ------------------------------
@@ -240,9 +247,20 @@ def stream_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def mc_mean(fn: Callable[[np.random.Generator, int], np.ndarray],
-            samples: int, seed: int) -> MCEstimate:
-    """Stream-blocked Monte Carlo mean of fn(rng, count) -> values."""
+def mc_mean(fn: Callable[..., np.ndarray], samples: int, seed: int,
+            widths: Sequence[int]) -> MCEstimate:
+    """Stream-blocked Monte Carlo mean of fn(*draws) -> one value per row.
+
+    Block b of at most MC_BLOCK samples uses stream b.  Its draws are
+    arrays of uniforms of shapes (count, w) for w in ``widths``, taken from
+    the stream in that order, each row-major.  fn sees them _MC_ROWS rows
+    at a time: the first draw's chunks come straight from the stream, and
+    each later draw reads from its own generator advanced past the draws
+    before it, so every chunk holds exactly the rows that drawing the
+    whole block at once would give.  The values fill one ``count``-long
+    array per block, summed whole, so the estimate does not depend on
+    _MC_ROWS.
+    """
     if samples < 1:
         raise ContractViolation("samples must be >= 1")
     done = 0
@@ -251,7 +269,20 @@ def mc_mean(fn: Callable[[np.random.Generator, int], np.ndarray],
     totsq = 0.0
     while done < samples:
         count = min(MC_BLOCK, samples - done)
-        vals = fn(stream_rng(seed, stream), count)
+        rngs = []
+        skip = 0
+        for w in widths:
+            rng = stream_rng(seed, stream)
+            words, rest = divmod(skip, _PHILOX_WORDS)
+            rng.bit_generator.advance(words)
+            rng.random(rest)
+            rngs.append(rng)
+            skip += count * w
+        vals = np.empty(count, dtype=np.float64)
+        for lo in range(0, count, _MC_ROWS):
+            rows = min(_MC_ROWS, count - lo)
+            vals[lo:lo + rows] = fn(*(rng.random((rows, w))
+                                      for rng, w in zip(rngs, widths)))
         tot += float(vals.sum())
         totsq += float((vals * vals).sum())
         done += count
@@ -415,20 +446,23 @@ def polytope_volume(n: int, method: str = "exact",
     plain_idx = np.array([i for i in range(len(free)) if i not in set(simplex_idx)],
                          dtype=np.int64)
 
-    def block(rng: np.random.Generator, count: int) -> np.ndarray:
-        t = np.empty((count, len(free)), dtype=np.float64)
+    def block(*draws: np.ndarray) -> np.ndarray:
         if simplex_idx.size:
-            sorted_u = np.sort(rng.random((count, simplex_idx.size)), axis=1)
+            simplex_u, plain_u = draws
+            t = np.empty((len(plain_u), len(free)), dtype=np.float64)
+            sorted_u = np.sort(simplex_u, axis=1)
             t[:, simplex_idx] = np.diff(sorted_u, axis=1, prepend=0.0)
-            t[:, plain_idx] = rng.random((count, plain_idx.size))
+            t[:, plain_idx] = plain_u
         else:
-            t[:] = rng.random((count, len(free)))
-        ok = np.ones(count, dtype=bool)
+            (t,) = draws
+        ok = np.ones(len(t), dtype=bool)
         for idx, cs, const in rows:
             ok &= (t[:, idx] @ cs) <= const + 1e-15
         return weight_factor * ok.astype(np.float64)
 
-    return mc_mean(block, samples, seed)
+    widths = ((simplex_idx.size, plain_idx.size) if simplex_idx.size
+              else (len(free),))
+    return mc_mean(block, samples, seed, widths)
 
 
 # ------------------------- slab volumes, vectorized -------------------------
@@ -490,6 +524,22 @@ def _beta_integrand(n: int, u: np.ndarray) -> np.ndarray:
     w = np.cumprod(u, axis=1)
     ones = np.ones((u.shape[0],), dtype=np.float64)
     return _cube_slab_vec(w, ones)
+
+
+# The finest beta tolerance admitted.  Where err <= tol * area never holds,
+# the quadrature refines to its full depth, and each decade below 1e-10
+# costs about 10x the time: on a 2-vCPU x86 host tol = 1e-12 took 4.7 s
+# and 135 MB, tol = 1e-14 took 39 s and 967 MB.
+BETA_TOL_FLOOR = 1e-12
+
+
+def _check_beta_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ContractViolation(f"beta tolerance must be finite and positive, "
+                                f"got {tol!r}")
+    if tol < BETA_TOL_FLOOR:
+        raise ResourceLimit(f"beta tolerance {tol:g} is below the floor "
+                            f"{BETA_TOL_FLOOR:g}")
 
 
 def _adaptive_square(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -556,15 +606,13 @@ def beta_tilde(n: int, tol: float = 1e-8, samples: int = 10 ** 7,
     """
     if n < 3:
         raise ContractViolation("n must be >= 3")
+    _check_beta_tol(tol)
     if n == 3:
         def f(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
             return _band_area(u1, u1 * u2, np.ones_like(u1))
         return _adaptive_square(f, tol)
 
-    def block(rng: np.random.Generator, count: int) -> np.ndarray:
-        return _beta_integrand(n, rng.random((count, n - 1)))
-
-    return mc_mean(block, samples, seed)
+    return mc_mean(lambda u: _beta_integrand(n, u), samples, seed, (n - 1,))
 
 
 def beta_inner_volume(n: int, u: Sequence[float]) -> float:
@@ -599,14 +647,13 @@ def mu_infinity(n: int, samples: int = 10 ** 7, seed: int = 0) -> MCEstimate:
         raise ResourceLimit("Monte Carlo density supported for n in {3, 4}")
     scale = float(mu_infinity_scale(n))
 
-    def block(rng: np.random.Generator, count: int) -> np.ndarray:
-        t = rng.random((count, n - 1))
+    def block(t: np.ndarray) -> np.ndarray:
         prod = np.cumprod(t, axis=1)
-        weights = np.concatenate([np.ones((count, 1)), prod[:, :-1]], axis=1)
+        weights = np.concatenate([np.ones((len(t), 1)), prod[:, :-1]], axis=1)
         vol = _cube_slab_vec(weights, prod[:, -1])
         return scale * vol / np.maximum(prod[:, -1], 1e-300)
 
-    return mc_mean(block, samples, seed)
+    return mc_mean(block, samples, seed, (n - 1,))
 
 
 # ------------------------------ assembly ------------------------------
@@ -656,6 +703,7 @@ def assemble_constant(n: int, config: AssemblyConfig | None = None) -> ConstantB
     if n not in (3, 4):
         raise ResourceLimit("assembly supported for n in {3, 4}")
     cfg = config or AssemblyConfig()
+    _check_beta_tol(cfg.beta_tol)  # before any work
     exponent = (1 << n) - n - 1
 
     if n == 3:

@@ -25,6 +25,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Iterator, Sequence
 
@@ -144,6 +145,21 @@ class PrimitiveSolution:
         return self.height() <= math.floor(B)
 
 
+@lru_cache(maxsize=None)
+def _z_layout(n: int) -> tuple[tuple[bool, ...], tuple[tuple[int, ...], ...],
+                               tuple[tuple[int, ...], ...]]:
+    """Positions h - 1 of z, once per n: whether h has size >= 2, and for
+    each j the subsets of size >= 2 without j (the cofactor of x'_j) and
+    the subsets containing j (the product y_j)."""
+    idx = range(1, 1 << n)
+    big = tuple(weight(h) >= 2 for h in idx)
+    cofactor = tuple(tuple(h - 1 for h in idx if weight(h) >= 2 and not bit(h, j))
+                     for j in range(1, n + 1))
+    containing = tuple(tuple(h - 1 for h in idx if bit(h, j))
+                       for j in range(1, n + 1))
+    return big, cofactor, containing
+
+
 @dataclass(frozen=True)
 class TorsorPoint:
     """Factorized coordinates (x', z) of a solution.
@@ -166,10 +182,10 @@ class TorsorPoint:
             raise ContractViolation("x' length mismatch")
         if len(self.z) != (1 << n) - 1:
             raise ContractViolation("z length mismatch")
-        for h, v in enumerate(self.z, start=1):
-            if weight(h) >= 2 and v < 1:
+        for v, big in zip(self.z, _z_layout(n)[0]):
+            if big and v < 1:
                 raise ContractViolation("z entries on subsets of size >= 2 must be >= 1")
-            if weight(h) == 1 and v == 0:
+            if not big and v == 0:
                 raise ContractViolation("singleton z entries must be nonzero")
         if not is_reduced([abs(v) for v in self.z]):
             raise ContractViolation("|z| is not reduced")
@@ -177,8 +193,8 @@ class TorsorPoint:
             raise ContractViolation("factorized equation fails")
 
     def _cofactor(self, j: int) -> int:
-        return math.prod(v for h, v in enumerate(self.z, start=1)
-                         if weight(h) >= 2 and not bit(h, j))
+        z = self.z
+        return math.prod([z[i] for i in _z_layout(self.n)[1][j - 1]])
 
     def coprimality_ok(self) -> bool:
         top = self.z[-1]
@@ -209,11 +225,13 @@ def torsor_push(point: TorsorPoint) -> PrimitiveSolution:
     if not point.coprimality_ok():
         raise PrimitivityError("gcd condition fails; image is not primitive")
     n = point.n
+    z = point.z
+    containing = _z_layout(n)[2]
     x = []
     y = []
     for i in range(1, n + 1):
-        xi = point.z[(1 << (i - 1)) - 1] * point.xprime[i - 1]
-        yi = math.prod(v for h, v in enumerate(point.z, start=1) if bit(h, i))
+        xi = z[(1 << (i - 1)) - 1] * point.xprime[i - 1]
+        yi = math.prod([z[h] for h in containing[i - 1]])
         if yi < 0:
             xi, yi = -xi, -yi
         x.append(xi)

@@ -256,17 +256,17 @@ def _constant_checks(heavy: bool, seed: int) -> Iterator[CheckResult]:
     yield CheckResult("exact polytope volume within 3 sigma of Monte Carlo",
                       v == Fraction(1, 16) and dev <= 3,
                       f"V = {v}, MC {vmc.value:.6f} ({dev:.2f} sigma)")
-    bt = constants.beta_tilde(3, tol=1e-8)
-    mi = constants.mu_infinity(3, samples, seed)
+    cfg = constants.AssemblyConfig(
+        prime_limit=10 ** 6 if heavy else 10 ** 5,
+        mu_samples=samples, beta_samples=samples, v_samples=samples, seed=seed)
+    br = constants.assemble_constant(3, cfg)
+    # the assembly's beta~ (tol 1e-8) and mu_infinity(3, samples, seed)
+    bt, mi = br.beta, br.omega_infinity
     target = constants.mu_infinity_scale(3) * bt.value
     sig = abs(mi.value - target) / (constants.mu_infinity_scale(3) * bt.error_bound
                                     + mi.standard_error)
     yield CheckResult("archimedean identity: compact integral vs 72 * beta",
                       sig <= 3, f"MC {mi.value:.4f} vs {target:.4f} ({sig:.2f} sigma)")
-    cfg = constants.AssemblyConfig(
-        prime_limit=10 ** 6 if heavy else 10 ** 5,
-        mu_samples=samples, beta_samples=samples, v_samples=samples, seed=seed)
-    br = constants.assemble_constant(3, cfg)
     ok = (br.beta_brauer == 1
           and abs(br.alpha - br.V / 243) < 1e-15
           and br.relative_discrepancy < 1e-3

@@ -140,6 +140,33 @@ def test_non_finite_bound_is_a_usage_error(capsys, bound):
     assert code == 1 and "height bound must be finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("constant", "--mc-samples", "inf"),
+    ("constant", "--prime-limit", "1e400"),
+    ("constant", "--mc-samples", "nan"),
+    ("polytope", "--method", "mc", "--samples", "inf"),
+])
+def test_infinite_integer_parameter_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == "" and "usage error" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-8"])
+def test_bad_beta_tolerance_is_a_usage_error(capsys, tol):
+    code, out, err = run_cli(capsys, "constant", f"--beta-tol={tol}")
+    assert code == 1 and out == "" and "beta tolerance" in err
+
+
+def test_beta_tolerance_below_the_floor_exits_2_at_once(capsys):
+    for n in ("3", "4"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "constant", "--n", n,
+                                 "--beta-tol", "1e-14", "--mc-samples", "1e7")
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == "" and "resource limit" in err
+
+
 def test_negative_bound_is_a_usage_error(capsys):
     code, out, err = run_cli(capsys, "count", "--n", "3", "--B", "-5")
     assert code == 1 and out == "" and "nonnegative" in err

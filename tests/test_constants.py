@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from hypercount import constants
 from hypercount.constants import (AssemblyConfig, MCEstimate,
                                   QuadratureEstimate, assemble_constant,
                                   beta_inner_volume, beta_tilde, edge_count,
@@ -211,6 +212,77 @@ def test_beta_tilde_mc_n4_consistent():
     assert 0 < est.value <= 8
     again = beta_tilde(4, samples=2 * 10 ** 5, seed=0)
     assert again == est
+
+
+# Every Monte Carlo integrand; polytope n = 4 is the one with two draws
+# (its simplex takes k = 7 columns, so count * k % 4 == count * 3 % 4)
+MC_INTEGRANDS = {
+    "mu_infinity n=3": lambda s, seed: mu_infinity(3, s, seed),
+    "mu_infinity n=4": lambda s, seed: mu_infinity(4, s, seed),
+    "beta_tilde n=4": lambda s, seed: beta_tilde(4, samples=s, seed=seed),
+    "polytope n=3": lambda s, seed: polytope_volume(3, "mc", s, seed),
+    "polytope n=4": lambda s, seed: polytope_volume(4, "mc", s, seed),
+}
+
+
+@pytest.mark.parametrize("rows", [1, 3, 1000])
+@pytest.mark.parametrize("name", sorted(MC_INTEGRANDS))
+def test_row_chunks_do_not_change_the_estimate(monkeypatch, name, rows):
+    # 250-sample blocks: 1001 samples are four full blocks and one sample,
+    # and both 250 * 7 and 1 * 7 leave a remainder mod 4
+    monkeypatch.setattr(constants, "MC_BLOCK", 250)
+    expect = MC_INTEGRANDS[name](1001, 4)
+    monkeypatch.setattr(constants, "_MC_ROWS", rows)
+    assert MC_INTEGRANDS[name](1001, 4) == expect
+
+
+# (value, standard error) as float.hex, computed before the blocks were
+# evaluated in row chunks, when each block was drawn and evaluated whole
+PINNED = {
+    ("mu_infinity n=3", 1001, 3): ("0x1.1a4fb38bd281ep+8", "0x1.a53fcd21da32cp-2"),
+    ("mu_infinity n=4", 1001, 0): ("0x1.7613ccb7af9c5p+12", "0x1.4937602100ff4p+3"),
+    ("beta_tilde n=4", 1001, 3): ("0x1.f1f550ae14b76p+2", "0x1.ca6069ade35dap-7"),
+    ("polytope n=3", 1001, 0): ("0x1.f336793907ed9p-5", "0x1.ef8416d1359c4p-8"),
+    # 321 hits; 100003 * 7 % 4 == 1
+    ("polytope n=4", 100003, 3): ("0x1.55ece5e016ed4p-21", "0x1.30dc3313b9b43p-25"),
+    # crosses the 2^20 block boundary; the last block holds 5 samples
+    ("polytope n=4", 2 ** 20 + 5, 0): ("0x1.4e387b1c926abp-21",
+                                       "0x1.74558bedf12bep-27"),
+}
+
+
+@pytest.mark.parametrize("rows", [constants._MC_ROWS, 1000])
+@pytest.mark.parametrize("key", list(PINNED), ids=str)
+def test_seeded_estimates_match_pinned_values(monkeypatch, key, rows):
+    monkeypatch.setattr(constants, "_MC_ROWS", rows)
+    name, samples, seed = key
+    est = MC_INTEGRANDS[name](samples, seed)
+    assert (est.value.hex(), est.standard_error.hex()) == PINNED[key]
+    assert (est.samples, est.seed) == (samples, seed)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-8])
+def test_beta_tolerance_must_be_finite_and_positive(tol):
+    with pytest.raises(ContractViolation):
+        beta_tilde(3, tol=tol)
+    with pytest.raises(ContractViolation):
+        assemble_constant(3, AssemblyConfig(beta_tol=tol))
+
+
+def test_beta_tolerance_below_the_floor_is_refused_at_once(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the tolerance check")
+
+    monkeypatch.setattr(constants, "polytope_volume", no_work)
+    monkeypatch.setattr(constants, "_adaptive_square", no_work)
+    tol = constants.BETA_TOL_FLOOR / 10
+    with pytest.raises(ResourceLimit):
+        beta_tilde(3, tol=tol)
+    for n in (3, 4):
+        with pytest.raises(ResourceLimit):
+            assemble_constant(n, AssemblyConfig(beta_tol=tol))
+    est = beta_tilde(4, tol=constants.BETA_TOL_FLOOR, samples=10)
+    assert 0 < est.value <= 8
 
 
 def test_mu_infinity_scale_and_reproducibility():
