@@ -146,7 +146,7 @@ def test_non_finite_bound_is_a_usage_error(capsys, bound):
     ("constant", "--mc-samples", "nan"),
     ("polytope", "--method", "mc", "--samples", "inf"),
 ])
-def test_infinite_integer_parameter_is_a_usage_error(capsys, argv):
+def test_non_finite_integer_parameter_is_a_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == "" and "usage error" in err
     assert "Traceback" not in err
