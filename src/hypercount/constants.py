@@ -19,7 +19,11 @@ Monte Carlo uses counter-based (Philox) streams keyed by (seed, stream),
 so results are bit-identical for a fixed seed and sample plan.  Each
 stream serves one block of MC_BLOCK samples; ``mc_mean`` evaluates a
 block _MC_ROWS rows at a time into one array and sums that array whole,
-so the chunk size changes neither the draws nor any sum.
+so the chunk size changes neither the draws nor any sum.  The integrands
+work on whole columns: a compare-exchange network stands in for numpy's
+per-row sort and running products for its cumprod, and every sum and
+product keeps numpy's order, so each value has the bits the row-wise
+code gave.
 """
 
 from __future__ import annotations
@@ -450,8 +454,9 @@ def polytope_volume(n: int, method: str = "exact",
         if simplex_idx.size:
             simplex_u, plain_u = draws
             t = np.empty((len(plain_u), len(free)), dtype=np.float64)
-            sorted_u = np.sort(simplex_u, axis=1)
-            t[:, simplex_idx] = np.diff(sorted_u, axis=1, prepend=0.0)
+            s = _sorted_columns(simplex_u.T)
+            for i, j in enumerate(simplex_idx):
+                t[:, j] = s[i] - s[i - 1] if i else s[0]
             t[:, plain_idx] = plain_u
         else:
             (t,) = draws
@@ -466,6 +471,24 @@ def polytope_volume(n: int, method: str = "exact",
 
 
 # ------------------------- slab volumes, vectorized -------------------------
+
+def _sorted_columns(cols: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """The columns sorted within each row, ascending, as new contiguous
+    arrays.
+
+    An insertion network of compare-exchanges only permutes each row's
+    values, so for input free of NaN and -0.0 this is np.sort(axis=1) of
+    the stacked columns, bit for bit, without a per-row sort call.
+    """
+    out = [np.array(col, dtype=np.float64) for col in cols]
+    spare = np.empty_like(out[0])
+    for i in range(1, len(out)):
+        for j in range(i, 0, -1):
+            np.minimum(out[j - 1], out[j], out=spare)
+            np.maximum(out[j - 1], out[j], out=out[j])
+            out[j - 1], spare = spare, out[j - 1]
+    return out
+
 
 def _band_area(w1: np.ndarray, w2: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Area of {|w1 a + w2 b| <= c} in [-1,1]^2 for w1 >= w2 >= 0."""
@@ -483,31 +506,64 @@ def _band_area(w1: np.ndarray, w2: np.ndarray, c: np.ndarray) -> np.ndarray:
     return area
 
 
-def _cube_slab_vec(weights: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Volume of {|sum w_i a_i| <= c} in [-1,1]^m, rows of ``weights``.
+def _cube_slab_vec(cols: Sequence[np.ndarray], c: np.ndarray) -> np.ndarray:
+    """Volume of {|sum w_i a_i| <= c} in [-1,1]^m, one value per row, for
+    nonnegative weight columns w_1..w_m (``weights.T`` for a 2-D array).
 
     Uses the single-sided corner expansion 2^m (1 - 2 F(t)) with
     t = (sum w - c)/2, which keeps every positive part below sum(w)/2.
+    Everything runs on whole columns: the weights are sorted by
+    ``_sorted_columns``, each corner's shift is the shift of the
+    corner without its top weight plus that weight, and the sum and
+    product of the weights are taken largest first, as numpy's axis-1
+    sum (for m < 8) and product of the sorted rows add and multiply.
+    A zero weight leaves its coordinate free: such rows are the slab of
+    their positive weights times 2 per zero weight.
     """
-    w = np.sort(np.asarray(weights, dtype=np.float64), axis=1)[:, ::-1]
-    m = w.shape[1]
+    c = np.asarray(c, dtype=np.float64)
+    w = _sorted_columns(cols)[::-1]
+    m = len(w)
     if m == 2:
-        return _band_area(w[:, 0], w[:, 1], np.asarray(c, dtype=np.float64))
-    total = w.sum(axis=1)
-    t = (total - np.asarray(c, dtype=np.float64)) / 2
-    t = np.maximum(t, 0.0)
+        return _band_area(w[0], w[1], c)
+    total = w[0]
+    prod = w[0]
+    for col in w[1:]:
+        total = total + col
+        prod = prod * col
+    t = np.maximum((total - c) / 2, 0.0)
+    # A corner term max(t - shift, 0)^m is 0 wherever t <= shift, and
+    # numpy's pow is slow on 0 (4x on an AVX-512 host): each term is
+    # raised and added on its positive rows only, which leaves every other
+    # row's sum as it was.
     acc = np.zeros_like(t)
-    for mask in range(1 << m):
-        shift = np.zeros_like(t)
-        sign = 1
-        for i in range(m):
-            if (mask >> i) & 1:
-                shift = shift + w[:, i]
-                sign = -sign
-        acc += sign * np.maximum(t - shift, 0.0) ** m
-    denom = math.factorial(m) * np.prod(np.where(w > 0, w, 1.0), axis=1)
-    frac = np.where(w.min(axis=1) > 0, acc / denom, 0.0)
-    return (2.0 ** m) * (1.0 - 2.0 * np.clip(frac, 0.0, 0.5))
+    live = np.flatnonzero(t > 0)
+    t_live = t[live]
+    w_live = [col[live] for col in w]
+    acc_live = t_live ** m
+    shifts = [0.0]
+    for mask in range(1, 1 << m):
+        top = mask.bit_length() - 1
+        shifts.append(shifts[mask ^ (1 << top)] + w_live[top])
+        d = t_live - shifts[mask]
+        pos = np.flatnonzero(d > 0)
+        if bin(mask).count("1") & 1:
+            acc_live[pos] -= d[pos] ** m
+        else:
+            acc_live[pos] += d[pos] ** m
+    acc[live] = acc_live
+    denom = math.factorial(m) * prod
+    zero = np.flatnonzero(w[-1] <= 0)
+    denom[zero] = 1.0  # these rows are redone below
+    vol = (2.0 ** m) * (1.0 - 2.0 * np.clip(acc / denom, 0.0, 0.5))
+    if zero.size:
+        c_all = np.broadcast_to(c, vol.shape)
+        positive = sum(col[zero] > 0 for col in w)
+        for k in range(m):
+            rows = zero[positive == k]
+            inner = (_cube_slab_vec([col[rows] for col in w[:k]], c_all[rows]) if k
+                     else np.where(c_all[rows] >= 0, 1.0, 0.0))
+            vol[rows] = 2.0 ** (m - k) * inner
+    return vol
 
 
 # ------------------------------ beta tilde ------------------------------
@@ -518,12 +574,19 @@ class QuadratureEstimate:
     error_bound: float
 
 
+def _running_products(t: np.ndarray) -> list[np.ndarray]:
+    """Columns p_i = p_{i-1} t_i, p_1 = t_1: np.cumprod(t, axis=1)
+    column by column, with the same multiplications."""
+    prods = [t[:, 0].copy()]
+    for i in range(1, t.shape[1]):
+        prods.append(prods[-1] * t[:, i])
+    return prods
+
+
 def _beta_integrand(n: int, u: np.ndarray) -> np.ndarray:
     """Slab volume with weights (u1, u1 u2, ..., prod u) and bound 1 for
     rows u of shape (count, n-1)."""
-    w = np.cumprod(u, axis=1)
-    ones = np.ones((u.shape[0],), dtype=np.float64)
-    return _cube_slab_vec(w, ones)
+    return _cube_slab_vec(_running_products(u), np.ones(len(u)))
 
 
 # The finest beta tolerance admitted.  Where err <= tol * area never holds,
@@ -620,9 +683,13 @@ def beta_inner_volume(n: int, u: Sequence[float]) -> float:
     if len(u) != n - 1:
         raise ContractViolation("u must have length n - 1")
     weights = list(itertools.accumulate(u, lambda a, b: a * b))
-    if any(w <= 0 for w in weights):
-        return float(2 ** (n - 1))
-    return float(slab_volume([Fraction(w) for w in weights], Fraction(1)))
+    # a zero weight leaves its coordinate free, a factor 2 of the volume;
+    # the sign of a weight does not change the slab
+    nonzero = [abs(Fraction(w)) for w in weights if w != 0]
+    free = 2 ** (len(weights) - len(nonzero))
+    if not nonzero:
+        return float(free)
+    return float(free * slab_volume(nonzero, Fraction(1)))
 
 
 # ------------------------------ mu infinity ------------------------------
@@ -648,10 +715,9 @@ def mu_infinity(n: int, samples: int = 10 ** 7, seed: int = 0) -> MCEstimate:
     scale = float(mu_infinity_scale(n))
 
     def block(t: np.ndarray) -> np.ndarray:
-        prod = np.cumprod(t, axis=1)
-        weights = np.concatenate([np.ones((len(t), 1)), prod[:, :-1]], axis=1)
-        vol = _cube_slab_vec(weights, prod[:, -1])
-        return scale * vol / np.maximum(prod[:, -1], 1e-300)
+        prods = _running_products(t)
+        vol = _cube_slab_vec([np.ones(len(t))] + prods[:-1], prods[-1])
+        return scale * vol / np.maximum(prods[-1], 1e-300)
 
     return mc_mean(block, samples, seed, (n - 1,))
 

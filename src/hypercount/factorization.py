@@ -25,7 +25,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Sequence
+from operator import itemgetter
+from typing import Callable, Sequence
 
 from .errors import ContractViolation
 
@@ -124,19 +125,32 @@ def dimension_of(z: Sequence[int]) -> int:
     return n
 
 
+@lru_cache(maxsize=None)
+def _incomparable_above(n: int) -> tuple[tuple[int, Callable], ...]:
+    """Pairs (h - 1, get) for each h with an incomparable l > h: get(z)
+    is the sequence of the entries z_l over all such l."""
+    above: list[list[int]] = [[] for _ in range((1 << n) - 1)]
+    for h, l in incomparable_pairs(n):
+        above[h - 1].append(l - 1)
+    return tuple((i, itemgetter(*ls) if len(ls) > 1
+                  else itemgetter(slice(ls[0], ls[0] + 1)))
+                 for i, ls in enumerate(above) if ls)
+
+
 def is_reduced(z: Sequence[int]) -> bool:
     """True when gcd(z_h, z_l) = 1 for every incomparable pair (h, l).
 
-    The tuple must have length 2^n - 1 with entries >= 1.
+    The tuple must have length 2^n - 1 with entries >= 1.  Each z_h > 1
+    takes one gcd with the product of the z_l, l > h, incomparable with
+    h: a prime shared with that product divides one of its factors.
     """
     n = dimension_of(z)
-    if any(v < 1 for v in z):
+    if min(z) < 1:
         raise ContractViolation("entries must be positive integers")
-    big = [h for h in range(1, (1 << n)) if z[h - 1] > 1]
-    for i, h in enumerate(big):
-        for l in big[i + 1:]:
-            if not comparable(h, l) and math.gcd(z[h - 1], z[l - 1]) > 1:
-                return False
+    for i, get in _incomparable_above(n):
+        v = z[i]
+        if v > 1 and math.gcd(v, math.prod(get(z))) > 1:
+            return False
     return True
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -174,18 +176,83 @@ def test_polytope_volume_mc_agrees_and_reproduces():
     assert 0 < est4.value < 1
 
 
+@pytest.mark.parametrize("m", range(1, 9))
+def test_sorted_columns_match_np_sort(m):
+    rng = np.random.default_rng(m)
+    rows = [rng.random((50, m)),
+            rng.integers(0, 3, size=(50, m)).astype(np.float64),  # ties, zeros
+            np.repeat(rng.random((10, 1)), m, axis=1),            # equal columns
+            np.zeros((1, m))]
+    # every 0/1 row: a network that sorts these sorts everything
+    rows.append(np.array(list(itertools.product((0.0, 1.0), repeat=m))))
+    x = np.concatenate(rows)
+    got = np.column_stack(constants._sorted_columns(x.T))
+    assert got.tobytes() == np.sort(x, axis=1).tobytes()
+
+
 def test_cube_slab_vectorized_matches_exact():
     rng = np.random.default_rng(31)
-    for m in (2, 3):
-        w = rng.uniform(1e-4, 1.0, size=(60, m))
+    for m, low in ((2, 1e-4), (3, 1e-4), (4, 0.1)):
+        w = rng.uniform(low, 1.0, size=(60, m))
         c = rng.uniform(0.0, 2.5, size=60)
-        got = _cube_slab_vec(w, c)
-        # the m = 3 corner expansion loses ~eps * t^3/(6 prod w) to
-        # cancellation; weights here are >= 1e-4, so 1e-7 dominates it
+        w[:5] = w[:5, :1]                    # equal weights
+        c[5:10] = w[5:10].sum(axis=1) * rng.uniform(1.0, 2.0, size=5)  # c >= sum w
+        got = _cube_slab_vec(w.T, c)
+        # the corner expansion loses ~eps * t^m/(m! prod w) to cancellation;
+        # with these weight floors 1e-7 dominates it
         tol_abs = 1e-12 if m == 2 else 1e-7
         for i in range(60):
             exact = slab_volume_float(list(w[i]), float(c[i]))
             assert got[i] == pytest.approx(exact, abs=tol_abs)
+        assert (got[5:10] == 2.0 ** m).all()
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_zero_weights_leave_their_coordinates_free(m):
+    rng = np.random.default_rng(m)
+    w = rng.uniform(0.05, 1.0, size=(40, m))
+    w[rng.random((40, m)) < 0.4] = 0.0
+    w[0] = 0.0
+    c = rng.uniform(0.0, 1.5, size=40)
+    c[:3] = 0.0
+    got = _cube_slab_vec(w.T, c)
+    for i in range(40):
+        nonzero = [float(v) for v in w[i] if v > 0]
+        exact = (2.0 ** (m - len(nonzero))
+                 * (slab_volume_float(nonzero, float(c[i])) if nonzero else 1.0))
+        assert got[i] == pytest.approx(exact, abs=1e-9)
+
+
+def test_zero_weight_examples():
+    w = np.array([[1.0, 0.5, 0.0], [1.0, 0.5, 0.0]])
+    got = _cube_slab_vec(w.T, np.array([0.3, 0.0]))
+    assert got[0] == pytest.approx(2.4)  # 2 * area of |a + b/2| <= 0.3
+    assert got[1] == 0.0
+
+
+def _slab_rows(m):
+    rng = np.random.default_rng(20 + m)
+    w = rng.random((100, m)) ** 2
+    return w, rng.random(100) * 1.2 * w.sum(axis=1)
+
+
+# sha256 of the float64 little-endian bytes of _cube_slab_vec on 100 seeded
+# rows, and the first value's float.hex, computed before the kernel ran on
+# columns (numpy per-row sort, zeros_like shifts, sign products)
+SLAB_PINNED = {
+    2: ("47136c1f7c068a3da0438fa8a9f3add31ae1b6aa0471fe7e962beab85cabba0d",
+        "0x1.5573d0ba9b356p-2"),
+    3: ("558def9067bb23f0d7095cf88c2e13ae90ab1e296470af2d218fe34976d5418f",
+        "0x1.35505bfd6591cp+2"),
+}
+
+
+@pytest.mark.parametrize("m", sorted(SLAB_PINNED))
+def test_cube_slab_matches_pinned_bits(m):
+    w, c = _slab_rows(m)
+    got = _cube_slab_vec(w.T, c)
+    digest = hashlib.sha256(got.astype("<f8").tobytes()).hexdigest()
+    assert (digest, got[0].hex()) == SLAB_PINNED[m]
 
 
 def test_beta_tilde_quadrature_n3():
@@ -199,6 +266,10 @@ def test_beta_inner_volume_examples():
     assert beta_inner_volume(3, (1.0, 1.0)) == 3.0
     assert beta_inner_volume(3, (1e-12, 0.5)) == 4.0
     assert beta_inner_volume(3, (0.0, 0.5)) == 4.0
+    # a zero weight is a free coordinate, not a full slab
+    assert beta_inner_volume(4, (0.9, 0.9, 0.0)) == pytest.approx(
+        2 * slab_volume_float([0.9, 0.9 * 0.9], 1.0))
+    assert beta_inner_volume(4, (0.9, 0.9, 0.0)) == pytest.approx(6.617, abs=1e-3)
     for n in (3, 4):
         rng = np.random.default_rng(n)
         for _ in range(20):
