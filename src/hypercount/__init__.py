@@ -15,26 +15,23 @@ from .counting import (CountReport, PrimitiveSolution, TorsorPoint,
                        torsor_push)
 from .errors import (ContractViolation, PrimitivityError, ResourceLimit,
                      VerificationFailure)
-from .factorization import (Dominance, SubsetIndex, compose, factorize,
-                            is_reduced, subset_relation)
+from .factorization import compose, factorize, is_reduced
 from .lattice import (LatticeCoefficients, count_congruence, count_solutions,
-                      lattice_coefficients, slab_volume, slab_volume_float,
-                      solution_main_term, tuple_slab_volume)
+                      lattice_coefficients, slab_volume, solution_main_term,
+                      tuple_slab_volume)
 from .toric import VarietyCountFp, enumerate_variety
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AssemblyConfig", "ConstantBreakdown", "ContractViolation", "CountReport",
-    "Dominance", "EulerProduct", "LatticeCoefficients", "MCEstimate",
-    "PrimitiveSolution", "PrimitivityError", "QuadratureEstimate",
-    "ResourceLimit", "SubsetIndex", "TorsorPoint", "VarietyCountFp",
-    "VerificationFailure", "assemble_constant", "beta_tilde", "compose",
-    "coprimality_condition", "count_congruence", "count_points",
+    "EulerProduct", "LatticeCoefficients", "MCEstimate", "PrimitiveSolution",
+    "PrimitivityError", "QuadratureEstimate", "ResourceLimit", "TorsorPoint",
+    "VarietyCountFp", "VerificationFailure", "assemble_constant", "beta_tilde",
+    "compose", "coprimality_condition", "count_congruence", "count_points",
     "count_solutions", "enumerate_variety", "euler_product",
     "eulerian_polynomial", "excedance_polynomial", "factorize", "is_reduced",
     "lattice_coefficients", "local_density", "local_factor_from_graph",
-    "mu_infinity", "polytope_volume", "slab_volume", "slab_volume_float",
-    "solution_main_term", "subset_relation", "torsor_lift", "torsor_push",
-    "tuple_slab_volume", "zeta_value",
+    "mu_infinity", "polytope_volume", "slab_volume", "solution_main_term",
+    "torsor_lift", "torsor_push", "tuple_slab_volume", "zeta_value",
 ]

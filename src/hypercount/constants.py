@@ -37,8 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ContractViolation, ResourceLimit
-from .factorization import bit, incomparable_pairs, weight
-from .lattice import slab_volume
+from .factorization import bit, incomparable_pairs
 
 MC_BLOCK = 1 << 20  # samples per RNG stream
 # rows of a block evaluated at once: the draws and temporaries of a chunk
@@ -193,10 +192,6 @@ class EulerProduct:
     value: float
     lower: float
     upper: float
-
-    @property
-    def half_width_log(self) -> float:
-        return math.log(self.upper / self.lower) / 2
 
 
 def euler_product(n: int, prime_limit: int) -> EulerProduct:
@@ -366,20 +361,6 @@ def polytope_constraints(n: int) -> list[tuple[dict[int, int], int]]:
             add(coeffs, h, -1)
     out.append((coeffs, 0))
     return out
-
-
-def polytope_feasible(n: int, point: Sequence) -> bool:
-    """Constraint check for a point indexed like ``free_indices(n)``."""
-    free = free_indices(n)
-    if len(point) != len(free):
-        raise ContractViolation("point dimension mismatch")
-    coords = dict(zip(free, point))
-    if any(not 0 <= v <= 1 for v in point):
-        return False
-    for coeffs, const in polytope_constraints(n):
-        if sum(c * coords[h] for h, c in coeffs.items()) > const:
-            return False
-    return True
 
 
 def _boole(f: Callable[[Fraction], Fraction], lo: Fraction, hi: Fraction) -> Fraction:
@@ -676,20 +657,6 @@ def beta_tilde(n: int, tol: float = 1e-8, samples: int = 10 ** 7,
         return _adaptive_square(f, tol)
 
     return mc_mean(lambda u: _beta_integrand(n, u), samples, seed, (n - 1,))
-
-
-def beta_inner_volume(n: int, u: Sequence[float]) -> float:
-    """Exact inner slab volume at one outer point u (length n-1)."""
-    if len(u) != n - 1:
-        raise ContractViolation("u must have length n - 1")
-    weights = list(itertools.accumulate(u, lambda a, b: a * b))
-    # a zero weight leaves its coordinate free, a factor 2 of the volume;
-    # the sign of a weight does not change the slab
-    nonzero = [abs(Fraction(w)) for w in weights if w != 0]
-    free = 2 ** (len(weights) - len(nonzero))
-    if not nonzero:
-        return float(free)
-    return float(free * slab_volume(nonzero, Fraction(1)))
 
 
 # ------------------------------ mu infinity ------------------------------

@@ -22,8 +22,6 @@ Tuples are stored densely: index 0 of the array holds z_1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Sequence
@@ -53,56 +51,6 @@ def dominated_by(h: int, l: int) -> bool:
 
 def comparable(h: int, l: int) -> bool:
     return dominated_by(h, l) or dominated_by(l, h)
-
-
-class Dominance(Enum):
-    EQUAL = "equal"
-    SECOND_BELOW_FIRST = "second_dominated_by_first"
-    FIRST_BELOW_SECOND = "first_dominated_by_second"
-    INCOMPARABLE = "incomparable"
-
-
-@dataclass(frozen=True)
-class SubsetIndex:
-    """A nonempty subset of {1, ..., n} encoded as an integer in [1, 2^n - 1]."""
-
-    h: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ContractViolation(f"dimension must be >= 2, got {self.n}")
-        if not 1 <= self.h < (1 << self.n):
-            raise ContractViolation(
-                f"index {self.h} outside [1, {(1 << self.n) - 1}] for n={self.n}")
-
-    def bit(self, j: int) -> int:
-        return bit(self.h, j)
-
-    @property
-    def weight(self) -> int:
-        return weight(self.h)
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        return members(self.h, self.n)
-
-
-def subset_relation(a: SubsetIndex, b: SubsetIndex) -> Dominance:
-    """Dominance relation between two subset indices of the same dimension."""
-    if a.n != b.n:
-        raise ContractViolation(f"mismatched dimensions {a.n} != {b.n}")
-    return relation(a.h, b.h)
-
-
-def relation(h: int, l: int) -> Dominance:
-    if h == l:
-        return Dominance.EQUAL
-    if dominated_by(l, h):
-        return Dominance.SECOND_BELOW_FIRST
-    if dominated_by(h, l):
-        return Dominance.FIRST_BELOW_SECOND
-    return Dominance.INCOMPARABLE
 
 
 @lru_cache(maxsize=None)
@@ -155,13 +103,12 @@ def is_reduced(z: Sequence[int]) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _weight_levels(n: int) -> tuple[tuple[int, ...], ...]:
-    """Indices grouped by subset size, sizes n, n-1, ..., 1; ascending h inside."""
+def _weight_levels(n: int) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
+    """Pairs (h, members of h) grouped by subset size, sizes n, n-1, ..., 1;
+    ascending h inside."""
     top = 1 << n
-    levels = []
-    for k in range(n, 0, -1):
-        levels.append(tuple(h for h in range(1, top) if weight(h) == k))
-    return tuple(levels)
+    return tuple(tuple((h, members(h, n)) for h in range(1, top) if weight(h) == k)
+                 for k in range(n, 0, -1))
 
 
 def factorize(y: Sequence[int]) -> tuple[int, ...]:
@@ -180,8 +127,7 @@ def factorize(y: Sequence[int]) -> tuple[int, ...]:
     z = [1] * ((1 << n) - 1)
     assigned = [1] * (n + 1)  # assigned[j] = prod of z_l over assigned l containing j
     for level in _weight_levels(n):
-        for h in level:
-            mem = members(h, n)
+        for h, mem in level:
             if len(mem) == 1:
                 j = mem[0]
                 q, r = divmod(y[j - 1], assigned[j])
@@ -198,9 +144,9 @@ def factorize(y: Sequence[int]) -> tuple[int, ...]:
                     if g == 1:
                         break
                 z[h - 1] = g
-        for h in level:
+        for h, mem in level:
             if z[h - 1] > 1:
-                for j in members(h, n):
+                for j in mem:
                     assigned[j] *= z[h - 1]
     return tuple(z)
 

@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractViolation
-from .factorization import bit, dimension_of, is_reduced, weight
+from .factorization import bit, dimension_of, is_reduced
 
 # numpy paths stay in int64; anything bigger falls back to exact Python ints
 _VEC_LIMIT = 1 << 60
@@ -146,15 +146,6 @@ def slab_volume(weights: Sequence[int | Fraction], bound: int | Fraction) -> Fra
     t_hi = (total + c) / 2
     t_lo = (total - c) / 2
     return (Fraction(2) ** m) * (_box_cdf(w, t_hi) - _box_cdf(w, t_lo))
-
-
-def slab_volume_float(weights: Sequence[float], bound: float) -> float:
-    """Real-weight slab volume, evaluated exactly on the float inputs.
-
-    Floats are binary rationals, so converting them to ``Fraction`` and
-    running the exact formula incurs no rounding beyond the final cast.
-    """
-    return float(slab_volume([Fraction(a) for a in weights], Fraction(bound)))
 
 
 def tuple_slab_volume(z: Sequence[int]) -> Fraction:

@@ -1,17 +1,22 @@
-"""Test-only oracles: Monte Carlo slab volumes, dilation counting and the
-series form of the Eulerian polynomials.
+"""Test-only oracles: Monte Carlo slab volumes, the exact inner volume of
+the beta~ integrand, dilation counting and the series form of the
+Eulerian polynomials.
 
 Like ``hypercount.oracles``, which holds the oracles that ``verify``
 shares with the tests, everything here is written directly from the
-definitions and avoids the package's own code paths.
+definitions and avoids the package's float code paths; the one package
+call is the exact ``Fraction`` slab volume.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
+
+from hypercount.lattice import slab_volume
 
 
 def mc_slab(weights, bound, samples=200_000, seed=7) -> tuple[float, float]:
@@ -20,6 +25,17 @@ def mc_slab(weights, bound, samples=200_000, seed=7) -> tuple[float, float]:
     vals = (np.abs(alpha @ np.asarray(weights, dtype=float)) <= bound)
     scale = 2.0 ** len(weights)
     return scale * vals.mean(), scale * vals.std() / math.sqrt(samples)
+
+
+def beta_inner_volume(n: int, u) -> float:
+    """Exact slab volume with weights (u_1, u_1 u_2, ..., u_1 ... u_{n-1})
+    and bound 1 at one outer point u: one row of the beta~ integrand."""
+    assert len(u) == n - 1
+    weights = list(itertools.accumulate(u, lambda a, b: a * b))
+    # a zero weight leaves its coordinate free, a factor 2 of the volume
+    nonzero = [abs(Fraction(w)) for w in weights if w != 0]
+    free = 2 ** (len(weights) - len(nonzero))
+    return float(free * slab_volume(nonzero, 1)) if nonzero else float(free)
 
 
 def dilation_volume_n3() -> Fraction:

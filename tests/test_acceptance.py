@@ -7,7 +7,6 @@ gate checks exact combinatorial values, cross-pipeline identities, and
 statistical agreement at pinned tolerances instead of limits.
 """
 
-import itertools
 import math
 import time
 from fractions import Fraction
@@ -15,15 +14,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hypercount import verify
 from hypercount.constants import (AssemblyConfig, assemble_constant,
-                                  beta_tilde, edge_count, eulerian_polynomial,
-                                  excedance_polynomial, local_factor_from_graph,
-                                  mu_infinity, mu_infinity_scale, poly_eval)
+                                  beta_tilde, mu_infinity)
 from hypercount.counting import count_points
-from hypercount.factorization import compose, factorize, tuple_product
-from hypercount.lattice import count_congruence, count_solutions, lattice_coefficients
-from hypercount.oracles import (brute_congruence, brute_count_points,
-                                brute_zero_sum, random_reduced)
+from hypercount.oracles import brute_count_points
 from hypercount.toric import enumerate_variety
 
 
@@ -59,67 +54,35 @@ def breakdown():
 
 def test_criterion_1_factorization_bijection():
     t0 = time.perf_counter()
-    checked = 0
-    for y in itertools.product(range(1, 31), repeat=3):
-        z = factorize(y)
-        assert compose(z) == y
-        assert tuple_product(z) == math.lcm(*y)
-        checked += 1
-    rng = np.random.default_rng(0)
-    for n in (4, 5):
-        for _ in range(5000):
-            y = tuple(int(v) for v in rng.integers(1, 200, size=n))
-            z = factorize(y)
-            assert compose(z) == y
-            assert tuple_product(z) == math.lcm(*y)
-            checked += 1
+    # round trips to a reduced tuple with the lcm identity
+    checks = [verify.check_roundtrip_exhaustive(30),
+              verify.check_roundtrip_random(np.random.default_rng(0), 10000, ymax=199)]
     dt = time.perf_counter() - t0
-    _report(1, dt < 10, f"{checked} round trips with the lcm identity, {dt:.1f} s (< 10 s)")
+    _report(1, all(c.ok for c in checks) and dt < 10,
+            f"{'; '.join(c.detail for c in checks)}, {dt:.1f} s (< 10 s)")
 
 
 def test_criterion_2_lattice_oracle_equivalence():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(1)
-    mismatches = 0
-    for trial in range(1000):
-        n = 3 if trial % 2 == 0 else 4
-        z = random_reduced(rng, n, 6)
-        X = int(rng.integers(0, 13))
-        co = lattice_coefficients(z)
-        if count_solutions(z, X) != brute_zero_sum(co.d, X):
-            mismatches += 1
-        r = int(rng.integers(1, n))
-        if count_congruence(z, r, X) != brute_congruence(co.d, co.d_joint(r), r, X):
-            mismatches += 1
+    res = verify.check_lattice_grids(np.random.default_rng(1), 1000)
     dt = time.perf_counter() - t0
-    _report(2, mismatches == 0 and dt < 30,
-            f"1000 instances (n in {{3,4}}, z <= 6, X <= 12), "
-            f"{mismatches} mismatches, {dt:.1f} s (< 30 s)")
+    _report(2, res.ok and dt < 30,
+            f"{res.detail} (n in {{3,4}}, z <= 6, X <= 12), {dt:.1f} s (< 30 s)")
 
 
 def test_criterion_3_eulerian_equals_excedance():
     t0 = time.perf_counter()
-    ok = all(eulerian_polynomial(n) == excedance_polynomial(n)
-             for n in range(1, 8))
-    frozen = {3: [1, 4, 1], 4: [1, 11, 11, 1], 5: [1, 26, 66, 26, 1]}
-    ok &= all(eulerian_polynomial(n) == v for n, v in frozen.items())
+    checks = [verify.check_eulerian_recurrence(), verify.check_frozen_eulerian()]
     dt = time.perf_counter() - t0
-    _report(3, ok and dt < 5,
+    _report(3, all(c.ok for c in checks) and dt < 5,
             f"coefficient-exact for n in [1,7]; P3/P4/P5 frozen, {dt:.2f} s (< 5 s)")
 
 
 def test_criterion_4_local_factor_graph():
     t0 = time.perf_counter()
-    b = local_factor_from_graph(3)
-    expansion = [0] * 7
-    for i, c in enumerate([1, -4, 6, -4, 1]):
-        for j, d in enumerate(eulerian_polynomial(3)):
-            expansion[i + j] += c * d
-    ok = (b == [1, 0, -9, 16, -9, 0, 1] == expansion
-          and b[2] == -edge_count(3) == -(2 ** 2 * (2 ** 3 + 1)) + 3 ** 3
-          and sum(b) == 0)
+    res = verify.check_local_factor_graph()
     dt = time.perf_counter() - t0
-    _report(4, ok and dt < 1, f"b = {b}, sum 0, b2 = -9, {dt:.2f} s (< 1 s)")
+    _report(4, res.ok and dt < 1, f"{res.detail}, sum 0, b2 = -9, {dt:.2f} s (< 1 s)")
 
 
 def test_criterion_5_toric_counts():
@@ -133,15 +96,10 @@ def test_criterion_5_toric_counts():
 
 
 def test_criterion_6_padic_identity():
-    pairs = [(n, p) for n in (3, 4) for p in (2, 3, 5, 7)]
-    bad = []
-    for n, p in pairs:
-        lhs = Fraction(p) ** (n - 1) * poly_eval(eulerian_polynomial(n),
-                                                 Fraction(1, p))
-        if lhs != enumerate_variety("C", n, p).count:
-            bad.append((n, p))
-    _report(6, not bad,
-            f"p^(n-1) P_n(1/p) = #C(F_p) exactly for {len(pairs)} in-budget pairs")
+    res = verify.check_padic_identity(verify.PADIC_PAIRS)
+    _report(6, res.ok,
+            f"p^(n-1) P_n(1/p) = #C(F_p) exactly for {len(verify.PADIC_PAIRS)} "
+            f"in-budget pairs: {res.detail}")
 
 
 def test_criterion_7_counting_methods_agree(method_counts):
@@ -164,16 +122,12 @@ def test_criterion_7_counting_methods_agree(method_counts):
 
 def test_criterion_8_archimedean_identity():
     t0 = time.perf_counter()
-    bt = beta_tilde(3, tol=1e-8)
-    mi = mu_infinity(3, samples=10 ** 7, seed=0)
-    scale = mu_infinity_scale(3)
-    target = scale * bt.value
-    combined = 3 * (mi.standard_error + scale * bt.error_bound)
-    gap = abs(mi.value - target)
+    res = verify.check_archimedean_identity(beta_tilde(3, tol=1e-8),
+                                            mu_infinity(3, samples=10 ** 7, seed=0))
     dt = time.perf_counter() - t0
-    _report(8, gap <= combined and dt < 120,
-            f"compact integral {mi.value:.4f} vs 72*beta {target:.4f}, "
-            f"|gap| {gap:.4f} <= {combined:.4f} (3 combined se), {dt:.1f} s (< 2 min)")
+    _report(8, res.ok and dt < 120,
+            f"compact integral vs 72*beta: {res.detail} (<= 3 combined errors), "
+            f"{dt:.1f} s (< 2 min)")
 
 
 def test_criterion_9_constant_self_consistency(breakdown):

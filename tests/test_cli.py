@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -79,6 +80,22 @@ def test_verify_suite_passes(capsys):
 
 def _strip_wall_time(text: str) -> str:
     return re.sub(r'"wall_time_s": [0-9eE.+-]+', '"wall_time_s": X', text)
+
+
+# sha256 of the report below with its wall_time_s masked, computed before
+# the verify batteries were split into check functions, so that any change
+# to a check's cases, name, detail or order shows here
+VERIFY_REPORT_SHA256 = "2ae3d7f9ee4b4f9e24d34ba939e4e57dc6d6cd6ba41e836c6ac701717aa6baeb"
+
+
+def test_verify_default_report_bytes_are_pinned(capsys):
+    # runs every check of every suite at the light sizes; only the shard
+    # check needs --shards > 1 (tests/test_counting.py calls it)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--shards", "1",
+                           "--seed", "0")
+    assert code == 0
+    digest = hashlib.sha256(_strip_wall_time(out).encode()).hexdigest()
+    assert digest == VERIFY_REPORT_SHA256, out
 
 
 def test_reports_are_deterministic(capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypercount import counting
+from hypercount import counting, verify
 from hypercount.counting import (CountReport, PrimitiveSolution, TorsorPoint,
                                  ambient_equation, coprimality_condition,
                                  count_points, int_nth_root, mobius_sieve,
@@ -197,16 +197,15 @@ def test_report_fields():
 
 @pytest.mark.parametrize("method", ["direct", "moebius", "torsor"])
 def test_shard_invariance(method):
-    base = count_points(3, 2000, method, shards=1).count
     for shards in (2, 3, 7):
-        assert count_points(3, 2000, method, shards=shards).count == base
+        res = verify.check_shard_invariance(3, 2000, shards, method)
+        assert res.ok, res.detail
 
 
 def test_methods_agree_moderate():
-    vals3 = {m: count_points(3, 10 ** 4, m).count for m in ("direct", "moebius", "torsor")}
-    assert len(set(vals3.values())) == 1
-    vals4 = {m: count_points(4, 1000, m).count for m in ("direct", "moebius", "torsor")}
-    assert len(set(vals4.values())) == 1
+    for n, B in ((3, 10 ** 4), (4, 1000)):
+        res = verify.check_pipelines_agree(n, B, 1)
+        assert res.ok, res.detail
 
 
 @pytest.mark.parametrize("B, expect", [(243, 2033936), (1024, 17414256),

@@ -7,16 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hypercount import lattice
+from hypercount import lattice, verify
 from hypercount.errors import ContractViolation
 from hypercount.factorization import factorize
 from hypercount.lattice import (_pair_count_scalar, count_congruence,
                                 count_solutions, count_zero_sum_boxes,
                                 lattice_coefficients, slab_volume,
-                                slab_volume_float, solution_main_term,
-                                tuple_slab_volume)
-from hypercount.oracles import (brute_congruence, brute_zero_sum,
-                                brute_zero_sum_boxes, random_reduced)
+                                solution_main_term, tuple_slab_volume)
+from hypercount.oracles import (brute_congruence, brute_zero_sum_boxes,
+                                random_reduced)
 
 from oracles import mc_slab
 
@@ -62,16 +61,8 @@ def test_slab_volume_examples():
 
 
 def test_slab_volume_saturation_and_monotone():
-    rng = np.random.default_rng(5)
-    for _ in range(40):
-        m = int(rng.integers(1, 5))
-        a = tuple(int(v) for v in rng.integers(1, 9, size=m))
-        assert slab_volume(a, sum(a)) == 2 ** m
-        prev = Fraction(-1)
-        for c in range(sum(a) + 2):
-            cur = slab_volume(a, c)
-            assert cur >= prev
-            prev = cur
+    res = verify.check_slab_volume(np.random.default_rng(5), 40)
+    assert res.ok, res.detail
 
 
 def test_slab_volume_against_monte_carlo():
@@ -82,15 +73,14 @@ def test_slab_volume_against_monte_carlo():
         assert abs(approx - exact) <= 4 * se + 1e-9
 
 
-def test_slab_volume_float_matches_exact_on_random_reals():
+def test_slab_volume_on_random_reals_against_monte_carlo():
+    # floats are binary rationals, so slab_volume takes them exactly
     rng = np.random.default_rng(8)
     for _ in range(50):
         m = int(rng.integers(2, 5))
         w = [float(v) for v in rng.uniform(1e-3, 1.0, size=m)]
         c = float(rng.uniform(0, 1.5))
-        direct = slab_volume_float(w, c)
-        scaled = float(slab_volume([Fraction(x) for x in w], Fraction(c)))
-        assert direct == scaled
+        direct = float(slab_volume(w, c))
         approx, se = mc_slab(w, c, samples=120_000, seed=int(rng.integers(1 << 30)))
         # rare-miss slack: the empirical deviation can be zero while the
         # true acceptance probability is only near 0 or 1
@@ -307,15 +297,8 @@ def test_wide_rows_past_int64_enumerate_all_but_three(monkeypatch):
 
 
 def test_counts_match_grids_randomized():
-    rng = np.random.default_rng(23)
-    for trial in range(400):
-        n = 3 if trial % 2 == 0 else 4
-        z = random_reduced(rng, n, 6)
-        X = int(rng.integers(0, 13))
-        co = lattice_coefficients(z)
-        assert count_solutions(z, X) == brute_zero_sum(co.d, X)
-        r = int(rng.integers(1, n))
-        assert count_congruence(z, r, X) == brute_congruence(co.d, co.d_joint(r), r, X)
+    res = verify.check_lattice_grids(np.random.default_rng(23), 400)
+    assert res.ok, res.detail
 
 
 def test_count_scalar_path_with_huge_entries():
@@ -342,25 +325,10 @@ def test_main_term_examples():
 
 
 def test_congruence_main_term_trend():
-    # the normalized deviation from 2^{n-r} prod X/step stays bounded in X
-    for z in [(1,) * 7, (1, 1, 2, 1, 3, 5, 1), (1, 1, 1, 3, 1, 1, 2)]:
-        n = 3
-        co = lattice_coefficients(z)
-        for r in (1, 2):
-            devs = []
-            for X in (100, 1000, 10000):
-                main = Fraction(2 ** (n - r))
-                for j in range(r + 1, n + 1):
-                    main *= Fraction(X, co.d_step(j - 1))
-                devs.append(abs(count_congruence(z, r, X) - main) / X ** (n - r - 1))
-            assert max(devs) <= 4 * 2 ** n
-
-
-def test_solution_main_term_trend():
-    for z in [(1,) * 7, (1, 1, 2, 1, 3, 5, 1), (1, 1, 1, 3, 1, 1, 2)]:
-        devs = [abs(count_solutions(z, X) - solution_main_term(z, X)) / X
-                for X in (100, 1000, 10000)]
-        assert max(devs) <= 4 * 8
+    # the normalized deviations of the congruence counts (r = 1, 2) and of
+    # the solution count from their main terms stay bounded in X
+    res = verify.check_main_term_trends()
+    assert res.ok, res.detail
 
 
 def test_upper_bound_with_calibrated_constant():

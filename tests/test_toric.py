@@ -1,9 +1,9 @@
 import pytest
 
-from hypercount.constants import excedance_polynomial
+from hypercount import verify
 from hypercount.errors import ContractViolation, ResourceLimit
 from hypercount.toric import (VarietyCountFp, check_point, coxeter_points,
-                              enumerate_variety, fiber_points, paired_points,
+                              enumerate_variety, paired_points,
                               projective_points)
 
 
@@ -27,9 +27,8 @@ def test_counts_match_frozen_values():
 @pytest.mark.parametrize("n,p", [(3, 2), (3, 3), (3, 5), (3, 7),
                                  (4, 2), (4, 3), (4, 5), (4, 7)])
 def test_counts_equal_excedance_evaluation(n, p):
-    poly = excedance_polynomial(n)
-    expect = sum(c * p ** k for k, c in enumerate(poly))
-    assert enumerate_variety("C", n, p).count == expect
+    res = verify.check_finite_field_counts([("C", n, p)])
+    assert res.ok, res.detail
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -42,10 +41,8 @@ def test_paired_equals_coxeter(p):
 def test_bundle_factor(p):
     base = enumerate_variety("C", 3, p).count
     total = enumerate_variety("X0", 3, p).count
-    factor = (p ** 3 - 1) // (p - 1)
-    assert total == factor * base
-    for yb, zb in paired_points(3, p):
-        assert sum(1 for _ in fiber_points(3, p, yb, zb)) == factor
+    # each fiber has (p^3 - 1)/(p - 1) points: verify.check_fiber_audit
+    assert total == (p ** 3 - 1) // (p - 1) * base
 
 
 def test_unique_partner_blocks():
@@ -57,15 +54,9 @@ def test_unique_partner_blocks():
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_every_point_passes_independent_audit(p):
-    count = 0
-    for yb in coxeter_points(3, p):
-        assert check_point("C", 3, p, yb)
-        count += 1
-    assert count == enumerate_variety("C", 3, p).count
-    for yb, zb in paired_points(3, p):
-        assert check_point("B0", 3, p, yb, zb)
-        for xy in fiber_points(3, p, yb, zb):
-            assert check_point("X0", 3, p, yb, zb, xy)
+    res = verify.check_fiber_audit((p,))
+    assert res.ok, res.detail
+    assert sum(1 for _ in coxeter_points(3, p)) == enumerate_variety("C", 3, p).count
 
 
 def test_audit_rejects_wrong_points():
