@@ -3,13 +3,20 @@ import pytest
 
 from hypercount import verify
 from hypercount.errors import ContractViolation
-from hypercount.factorization import (compose, factorize, incomparable_pairs,
-                                      is_reduced)
+from hypercount.factorization import (compose, dominated_by, factorize,
+                                      incomparable_pairs, is_reduced)
 from hypercount.oracles import (incomparable, random_reduced,
-                                reduced_by_definition)
+                                reduced_by_definition, subset_of)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_dominance_matches_set_containment(n):
+    idx = range(1, 1 << n)
+    assert all(dominated_by(h, l) == (subset_of(h, n) <= subset_of(l, n))
+               for h in idx for l in idx)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
 def test_dominance_partial_order_axioms(n):
     # dominance is set containment, reflexive, antisymmetric and transitive
     res = verify.check_dominance((n,))

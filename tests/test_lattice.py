@@ -331,6 +331,15 @@ def test_congruence_main_term_trend():
     assert res.ok, res.detail
 
 
+def test_solution_main_term_trend():
+    # the deviation of the solution count from its main term, over X, stays
+    # below 4 * 2^n at n = 3
+    for z in [(1,) * 7, (1, 1, 2, 1, 3, 5, 1), (1, 1, 1, 3, 1, 1, 2)]:
+        devs = [abs(count_solutions(z, X) - solution_main_term(z, X)) / X
+                for X in (100, 1000, 10000)]
+        assert max(devs) <= 4 * 8
+
+
 def test_upper_bound_with_calibrated_constant():
     # count <= C * X^{n-1} / max(d) with C calibrated on this corpus; the
     # bound presumes max(y) <= X, so tuples are drawn from [1, X]^n
