@@ -13,8 +13,7 @@ from .constants import (AssemblyConfig, ConstantBreakdown, EulerProduct,
 from .counting import (CountReport, PrimitiveSolution, TorsorPoint,
                        coprimality_condition, count_points, torsor_lift,
                        torsor_push)
-from .errors import (ContractViolation, PrimitivityError, ResourceLimit,
-                     VerificationFailure)
+from .errors import ContractViolation, PrimitivityError, ResourceLimit
 from .factorization import compose, factorize, is_reduced
 from .lattice import (LatticeCoefficients, count_congruence, count_solutions,
                       lattice_coefficients, slab_volume, solution_main_term,
@@ -27,7 +26,7 @@ __all__ = [
     "AssemblyConfig", "ConstantBreakdown", "ContractViolation", "CountReport",
     "EulerProduct", "LatticeCoefficients", "MCEstimate", "PrimitiveSolution",
     "PrimitivityError", "QuadratureEstimate", "ResourceLimit", "TorsorPoint",
-    "VarietyCountFp", "VerificationFailure", "assemble_constant", "beta_tilde",
+    "VarietyCountFp", "assemble_constant", "beta_tilde",
     "compose", "coprimality_condition", "count_congruence", "count_points",
     "count_solutions", "enumerate_variety", "euler_product",
     "eulerian_polynomial", "excedance_polynomial", "factorize", "is_reduced",

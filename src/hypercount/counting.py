@@ -32,8 +32,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import ContractViolation, PrimitivityError, ResourceLimit
-from .factorization import (bit, dimension_of, factorize, is_reduced,
-                            members, weight)
+from .factorization import (_weight_levels, bit, dimension_of, factorize,
+                            is_reduced, weight)
 from .lattice import count_zero_sum, count_zero_sum_boxes
 
 WORKERS_ENV = "HYPERCOUNT_WORKERS"
@@ -51,13 +51,17 @@ _WORK_BUDGET = 10 ** 10
 # numpy path at n = 4 about 0.03 us a cell, so a call costs about 200 cells.
 _CLOSED_FORM_CELLS = 200
 
-# The torsor search expands up to _TORSOR_CAP candidates, or rows, per
-# numpy batch and merges rows in a dict of at most 8 * _TORSOR_CAP keys.
-# Peak RSS grows with the batch, time falls as the dict grows (each row
-# flush counts the rows that recur after it again).  Measured at n = 3,
-# B = 2e5 in one process after direct and moebius: 34.1 MB with this
-# setting, 36.8 MB with 2^14 batches, 33.3 MB before batching; an
-# 8,192-key dict made 16,488 kernel calls, this one 8,850.
+# The torsor search steps through batches of at most 12 * _TORSOR_CAP
+# entries (rows of 2n int32 columns), expands its leaves into at most
+# _TORSOR_CAP kernel rows at a time and merges those in a dict of at most
+# 8 * _TORSOR_CAP keys.  Peak RSS grows with the batches and time falls as
+# they grow (every step costs a fixed number of numpy calls), and as the
+# dict grows (each row flush counts the rows that recur after it again).
+# Measured at n = 3, B = 2e5 in one process after direct and moebius on a
+# 2-vCPU x86 host: 33.5 MB with 8 * _TORSOR_CAP entries a batch, 33.6 MB
+# with 12, 34.0 MB with 16 and 33.2 MB with the recursive search this
+# replaced; batches of 8 made the tests' tiny caps about 0.3 s slower.
+# The dict holds all 8,850 distinct kernel rows there.
 _TORSOR_CAP = 1 << 11
 
 
@@ -350,7 +354,9 @@ def _distinct_rows(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, n
         return keys, weights
     order = np.lexsort(keys.T[::-1])
     keys = keys[order]
-    starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    starts = new.nonzero()[0]
     return keys[starts], np.add.reduceat(weights[order], starts)
 
 
@@ -359,48 +365,69 @@ def _packs_in_int64(n: int, X: int) -> bool:
     return (n + 1) * X.bit_length() <= 62
 
 
+def _spread(size: np.ndarray, limit: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """Batching over items that each expand into size[i] >= 1 slots: the
+    longest prefix of items with at most ``limit`` slots in all, or the
+    first item alone.  Returns its length k and, for each of its slots in
+    order, the slot's item and its rank 0, 1, ... within that item."""
+    end = size[:limit].cumsum()
+    k = max(1, int(end.searchsorted(limit, "right")))
+    size = size[:k]
+    idx = np.arange(k).repeat(size)
+    return k, idx, np.arange(len(idx)) - (end[:k] - size)[idx]
+
+
 def _torsor_shard(n: int, X: int, shard: int, shards: int) -> int:
     """Reduced-tuple enumeration.
 
-    Depth-first over z_h for h != 2^n - 1 in descending subset size
-    (ascending h inside a level), pruning on the partial coordinate
-    products; a candidate is kept when it is coprime to P, the product
-    of the z's already set that are incomparable with h.  The top
-    variable carries no coprimality constraint, so its range [1, Z] is
-    closed in one divisor sum: for each squarefree m,
-    mu(m) * floor(Z/m) * #{x' : m | x'_j z_{2^{j-1}} for all j} where the
-    inner count is a box-restricted zero-sum count.
+    The search sets z_h for h != 2^n - 1 level by level, in descending
+    subset size and ascending h inside a size.  A row holds y_1 .. y_n,
+    the products of the z_h set so far over the h containing j, then
+    the singletons z_{2^0} .. z_{2^{n-1}}.  One numpy step sets the next
+    z_h on a batch of rows: it repeats each row by its cap
+    X // max_{j in h} y_j, keeps each candidate v coprime to the product
+    of the z's already set that are incomparable with h (and
+    v % shards == shard on the first level), and multiplies v into the
+    y_j with j in h, and into z_h when h is a singleton.  The z's set so
+    far have |l| >= |h|, so the incomparable ones are those not
+    containing h; the primes of a reduced tuple divide a chain of z's,
+    so those multiply to lcm(y) and those containing h to
+    gcd_{j in h} y_j, and the product sought is their quotient.
 
-    Python walks only the internal levels.  The last one, the singleton
-    z_{2^{n-1}}, is buffered as its parent's state and expanded in numpy
-    once _TORSOR_CAP candidates are waiting.  The sum depends only on Z
-    and the pairs (z_{2^j}, cof_j) and is symmetric in j, so a leaf is Z
-    and its sorted pairs, and equal leaves merge with their multiplicity.
+    The batches are walked depth first on an explicit stack: a step
+    takes the rows of the top batch whose candidates fit in one batch
+    and leaves a copy of the rest on the stack.  A batch holds at most
+    12 * _TORSOR_CAP entries, or one row's candidates (at most X rows),
+    and the stack at most one batch per level, so memory is bounded
+    whatever X.
+
+    The top variable carries no coprimality constraint, so its range
+    [1, Z], Z = X // max_j y_j, is closed in one divisor sum: for each
+    squarefree m, mu(m) * floor(Z/m) * #{x' : m | x'_j z_{2^{j-1}} for
+    all j} where the inner count is a box-restricted zero-sum count.
+    The sum depends only on Z and the pairs (z_{2^j}, cof_j), where
+    cof_j is the product of the z_h with |h| >= 2 and j not in h, and is
+    symmetric in j.  So the last step turns its rows into leaves, Z and
+    the sorted pairs, and equal leaves merge with their multiplicity.
     The distinct leaves expand over squarefree m into rows of sorted
     (coeff, limit) pairs, at most _TORSOR_CAP rows at a time; equal rows
     add up their weights in a dict keyed by the row's bytes and flushed
     at 8 * _TORSOR_CAP keys, and each distinct row with a nonzero weight
-    is counted once by count_zero_sum_boxes.  Memory stays bounded
-    whatever X.
+    is counted once by count_zero_sum_boxes.
 
-    Every field is packed into int64: z_{2^j}, Z and every limit are
-    <= X < 2^w, cof_j <= X^(n-1) and a row coefficient cof_j * q is
-    <= X^n, so a (coeff, limit) pair needs (n + 1) w bits, which
-    count_points checks (_packs_in_int64).
+    Every entry of a search row is <= X < 2^15, so rows are int32, and
+    lcm(y) <= X^n.  Every field of a leaf or kernel row is packed into
+    int64: z_{2^j}, Z and every limit are <= X < 2^w, cof_j <= X^(n-1)
+    and a row coefficient cof_j * q is <= X^n, so a (coeff, limit) pair
+    needs (n + 1) w bits, which count_points checks (_packs_in_int64).
     """
-    N = (1 << n) - 1
-    last = 1 << (n - 1)
-    order = sorted(range(1, N), key=lambda h: (-weight(h), h))[:-1]
-    mem = {h: members(h, n) for h in order}
-    # cofactor indices (0-based) that a z_h with |h| >= 2 multiplies
-    off = {h: [j - 1 for j in range(1, n + 1) if not bit(h, j)]
-           if weight(h) >= 2 else [] for h in order}
-    incomp = {h: [l for l in order if not (h & l == h or h & l == l)]
-              for h in order + [last]}
-    singletons = [1 << j for j in range(n - 1)]
-    z = [1] * (N + 1)  # 1-based
-    ypart = [1] * (n + 1)
-    cof = [1] * n  # cof[j-1] = prod of z_h over |h| >= 2, j not in h
+    width = 2 * n
+    batch = max(1, 12 * _TORSOR_CAP // width)
+    steps = []  # per level: the columns of y_j for j in h, and those v multiplies
+    for size in _weight_levels(n)[1:]:
+        for _, mem in size:
+            ys = np.array(mem) - 1
+            steps.append((ys, ys if len(ys) > 1 else np.array([ys[0], n + ys[0]])))
     w = X.bit_length()
     cof_bits = (n - 1) * w
     low, cof_mask = (1 << w) - 1, (1 << cof_bits) - 1
@@ -408,10 +435,6 @@ def _torsor_shard(n: int, X: int, shard: int, shards: int) -> int:
     sqf = np.flatnonzero(mu)  # the squarefree m <= X, ascending
     sqf_mu = mu[sqf]
     sqf_upto = np.cumsum(mu != 0)  # sqf_upto[Z] = #{squarefree m <= Z}
-    # each parent of the last level: P, cap, max(ypart[:n]), ypart[n],
-    # z_{2^j} for j < n - 1, then cof
-    parents: list[int] = []
-    waiting = 0
     rows: dict[bytes, int] = {}  # n sorted (coeff << w | limit), 0 if no limit
     row_type = np.dtype((np.void, 8 * n))
     unpack = struct.Struct(f"={n}q").unpack
@@ -430,14 +453,11 @@ def _torsor_shard(n: int, X: int, shard: int, shards: int) -> int:
         Z, pairs = leaves[:, 0], leaves[:, 1:]
         v, c = pairs >> cof_bits, pairs & cof_mask
         b = X // v
-        size = sqf_upto[Z]  # leaf i expands rows begin[i] .. end[i] - 1
-        end = np.cumsum(size)
-        begin = end - size
+        size = sqf_upto[Z]  # leaf i expands into size[i] rows
         lo = 0
         while lo < len(Z):  # at most _TORSOR_CAP rows at a time, or one leaf's
-            hi = max(lo + 1, int(np.searchsorted(end, begin[lo] + _TORSOR_CAP, "right")))
-            idx = np.repeat(np.arange(lo, hi), size[lo:hi])
-            pos = np.arange(len(idx)) - np.repeat(begin[lo:hi] - begin[lo], size[lo:hi])
+            k, idx, pos = _spread(size[lo:], _TORSOR_CAP)
+            idx += lo
             m = sqf[pos]
             q = m[:, None] // np.gcd(m[:, None], v[idx])
             lim = b[idx] // q
@@ -445,65 +465,42 @@ def _torsor_shard(n: int, X: int, shard: int, shards: int) -> int:
             keys.sort(axis=1)
             keys, wts = _distinct_rows(keys, mult[idx] * sqf_mu[pos] * (Z[idx] // m))
             nz = wts != 0
-            for k, wt in zip(keys[nz].view(row_type).ravel().tolist(), wts[nz].tolist()):
-                rows[k] = rows.get(k, 0) + wt
+            for key, wt in zip(keys[nz].view(row_type).ravel().tolist(), wts[nz].tolist()):
+                rows[key] = rows.get(key, 0) + wt
                 if len(rows) >= 8 * _TORSOR_CAP:
                     flush_rows()
-            lo = hi
+            lo += k
 
-    def flush_parents() -> None:
-        nonlocal waiting
-        par = np.array(parents, dtype=np.int64).reshape(-1, 2 * n + 3)
-        parents.clear()
-        waiting = 0
-        cap = par[:, 1]
-        idx = np.repeat(np.arange(len(par)), cap)
-        v = np.arange(1, len(idx) + 1) - np.repeat(np.cumsum(cap) - cap, cap)
-        keep = np.gcd(v, par[idx, 0]) == 1
-        idx, v = idx[keep], v[keep]
-        leaves = np.empty((len(v), n + 1), dtype=np.int64)
-        leaves[:, 0] = X // np.maximum(par[idx, 2], par[idx, 3] * v)
-        leaves[:, 1:n] = (par[:, 4:n + 3] << cof_bits | par[:, n + 3:-1])[idx]
-        leaves[:, n] = v << cof_bits | par[idx, -1]
-        leaves[:, 1:].sort(axis=1)
-        expand(*_distinct_rows(leaves, np.ones(len(v), dtype=np.int64)))
-
-    def dfs(idx: int) -> None:
-        nonlocal waiting
-        if idx == len(order):  # only z_{2^{n-1}} is left: buffer this parent
-            cap = X // ypart[n]
-            parents.extend((math.prod([z[l] for l in incomp[last]]), cap,
-                            max(ypart[:n]), ypart[n], *[z[h] for h in singletons], *cof))
-            waiting += cap
-            if waiting >= _TORSOR_CAP:
-                flush_parents()
-            return
-        h = order[idx]
-        cap = min(X // ypart[j] for j in mem[h])
-        P = math.prod([z[l] for l in incomp[h]])
-        first = idx == 0
-        for v in range(1, cap + 1):
-            if first and v % shards != shard:
-                continue
-            if v > 1 and math.gcd(v, P) > 1:
-                continue
-            z[h] = v
-            if v > 1:
-                for j in mem[h]:
-                    ypart[j] *= v
-                for j in off[h]:
-                    cof[j] *= v
-            dfs(idx + 1)
-            if v > 1:
-                for j in mem[h]:
-                    ypart[j] //= v
-                for j in off[h]:
-                    cof[j] //= v
-            z[h] = 1
-
-    dfs(0)
-    if parents:
-        flush_parents()
+    stack = [(0, np.ones((1, width), dtype=np.int32))]
+    while stack:
+        i, z = stack.pop()
+        mem, cols = steps[i]
+        k, idx, rank = _spread(X // z[:batch, mem].max(axis=1), batch)
+        if k < len(z):
+            stack.append((i, z[k:].copy()))  # frees the rows taken
+        if i and len(idx) == k:  # every cap is 1: v = 1 leaves the rows as they are
+            z = z[:k]
+        else:
+            y = z[:k, :n].astype(np.int64)
+            incomparable = np.lcm.reduce(y, axis=1) // np.gcd.reduce(y[:, mem], axis=1)
+            v = rank + 1
+            keep = np.gcd(v, incomparable[idx]) == 1
+            if not i:
+                keep &= v % shards == shard
+            z, v = z[idx[keep]], v[keep]
+            z[:, cols] *= v[:, None]
+        if i + 1 < len(steps):
+            if len(z):
+                stack.append((i + 1, z))
+            continue
+        y, single = z[:, :n].astype(np.int64), z[:, n:].astype(np.int64)
+        # the z's with |h| >= 2 multiply to lcm(y) / prod_j z_{2^{j-1}},
+        # and those containing j to y_j / z_{2^{j-1}}
+        big = np.lcm.reduce(y, axis=1) // single.prod(axis=1)
+        pairs = single << cof_bits | big[:, None] * single // y
+        pairs.sort(axis=1)
+        leaves = np.column_stack([X // y.max(axis=1), pairs])
+        expand(*_distinct_rows(leaves, np.ones(len(z), dtype=np.int64)))
     flush_rows()
     return total
 
@@ -600,5 +597,11 @@ def count_points(n: int, B: float | Fraction, method: str = "direct",
         count = (1 << (n - 1)) * sum(parts)
     seconds = time.perf_counter() - t0
     exponent = (1 << n) - n - 1
-    ratio = count / (B * math.log(B) ** exponent) if B >= 2 else None
+    ratio = None
+    if B >= 2:
+        try:
+            ratio = count / (B * math.log(B) ** exponent)
+        except OverflowError:  # log(B)^exponent passes the float range (n >= 9)
+            ratio = math.exp(math.log(count) - math.log(B)
+                             - exponent * math.log(math.log(B)))
     return CountReport(n, float(B), method, count, seconds, ratio)

@@ -12,7 +12,3 @@ class ResourceLimit(RuntimeError):
 
 class PrimitivityError(ValueError):
     """A torsor point maps to a non-primitive ambient solution."""
-
-
-class VerificationFailure(RuntimeError):
-    """A verification suite reported at least one failing check."""

@@ -128,22 +128,15 @@ def factorize(y: Sequence[int]) -> tuple[int, ...]:
     assigned = [1] * (n + 1)  # assigned[j] = prod of z_l over assigned l containing j
     for level in _weight_levels(n):
         for h, mem in level:
-            if len(mem) == 1:
-                j = mem[0]
+            g = 0
+            for j in mem:
                 q, r = divmod(y[j - 1], assigned[j])
                 if r:
                     raise ContractViolation("inputs do not factor; nonintegral quotient")
-                z[h - 1] = q
-            else:
-                g = 0
-                for j in mem:
-                    q, r = divmod(y[j - 1], assigned[j])
-                    if r:
-                        raise ContractViolation("inputs do not factor; nonintegral quotient")
-                    g = math.gcd(g, q)
-                    if g == 1:
-                        break
-                z[h - 1] = g
+                g = math.gcd(g, q)
+                if g == 1:
+                    break
+            z[h - 1] = g
         for h, mem in level:
             if z[h - 1] > 1:
                 for j in mem:
@@ -157,10 +150,12 @@ def compose(z: Sequence[int]) -> tuple[int, ...]:
     if not is_reduced(z):
         raise ContractViolation("tuple is not reduced")
     y = [1] * n
-    for h, v in enumerate(z, start=1):
-        if v > 1:
-            for j in members(h, n):
-                y[j - 1] *= v
+    for level in _weight_levels(n):
+        for h, mem in level:
+            v = z[h - 1]
+            if v > 1:
+                for j in mem:
+                    y[j - 1] *= v
     return tuple(y)
 
 

@@ -50,28 +50,18 @@ class LatticeCoefficients:
     d[i-1]      product of z_h over subsets h NOT containing i
     joint[r-1]  product over h avoiding all of 1..r         (r = 1..n)
     step[m-1]   product over h avoiding 1..m, containing m+1 (m = 1..n-1)
-    excess[r-2] product over h avoiding r, meeting {1..r-1}  (r = 2..n)
     """
 
     n: int
     d: tuple[int, ...]
     joint: tuple[int, ...]
     step: tuple[int, ...]
-    excess: tuple[int, ...]
 
     def d_joint(self, r: int) -> int:
         return self.joint[r - 1]
 
     def d_step(self, m: int) -> int:
         return self.step[m - 1]
-
-    def d_excess(self, r: int) -> int:
-        return self.excess[r - 2]
-
-    @property
-    def excess_first(self) -> int:
-        """Product over h avoiding 1 and containing 2 (same as step 1)."""
-        return self.step[0]
 
 
 def lattice_coefficients(z: Sequence[int]) -> LatticeCoefficients:
@@ -80,7 +70,6 @@ def lattice_coefficients(z: Sequence[int]) -> LatticeCoefficients:
     d = [1] * n
     joint = [1] * n
     step = [1] * (n - 1)
-    excess = [1] * (n - 1)
     for h in range(1, top):
         v = z[h - 1]
         if v == 1:
@@ -94,10 +83,7 @@ def lattice_coefficients(z: Sequence[int]) -> LatticeCoefficients:
                 joint[r - 1] *= v
         if low > 1:
             step[low - 2] *= v  # avoids 1..low-1, contains low
-        for r in range(2, n + 1):
-            if not bit(h, r) and (h & ((1 << (r - 1)) - 1)) != 0:
-                excess[r - 2] *= v
-    return LatticeCoefficients(n, tuple(d), tuple(joint), tuple(step), tuple(excess))
+    return LatticeCoefficients(n, tuple(d), tuple(joint), tuple(step))
 
 
 # ----------------------------- slab volumes -----------------------------

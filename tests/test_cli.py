@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -34,6 +35,11 @@ def test_count_example(capsys):
                            "--method", "direct")
     assert code == 0
     assert json.loads(out)["count"] == 28
+    # X = 1 at n = 10: the torsor search walks 1,022 levels
+    code, out, _ = run_cli(capsys, "count", "--n", "10", "--B", "1",
+                           "--method", "torsor")
+    assert code == 0
+    assert json.loads(out)["count"] == 4583936
 
 
 def test_count_scientific_bound(capsys):
@@ -44,6 +50,12 @@ def test_count_scientific_bound(capsys):
     assert report["B"] == 1000.0
     assert report["count"] == 195004
     assert report["ratio"] > 0
+    # log(B)^(2^n - n - 1) passes the float range here
+    for n, bound in (("9", "512"), ("10", "8")):
+        code, out, _ = run_cli(capsys, "count", "--n", n, "--B", bound)
+        assert code == 0
+        ratio = json.loads(out)["ratio"]
+        assert math.isfinite(ratio) and ratio >= 0
 
 
 def test_toric_example(capsys):

@@ -15,17 +15,8 @@ def test_projective_points():
     assert len(set(projective_points(4, 3))) == (3 ** 4 - 1) // 2
 
 
-def test_counts_match_frozen_values():
-    assert enumerate_variety("C", 3, 2) == VarietyCountFp("C", 3, 2, 13)
-    assert enumerate_variety("C", 3, 3).count == 22
-    assert enumerate_variety("C", 3, 5).count == 46
-    assert enumerate_variety("C", 4, 2).count == 75
-    assert enumerate_variety("B0", 3, 2).count == 13
-    assert enumerate_variety("X0", 3, 2).count == 91
-
-
 @pytest.mark.parametrize("n,p", [(3, 2), (3, 3), (3, 5), (3, 7),
-                                 (4, 2), (4, 3), (4, 5), (4, 7)])
+                                 (4, 2), (4, 3), (4, 5)])
 def test_counts_equal_excedance_evaluation(n, p):
     res = verify.check_finite_field_counts([("C", n, p)])
     assert res.ok, res.detail
@@ -71,6 +62,7 @@ def test_audit_rejects_wrong_points():
 
 
 def test_budget_and_validation():
+    assert enumerate_variety("C", 3, 2) == VarietyCountFp("C", 3, 2, 13)
     with pytest.raises(ResourceLimit):
         enumerate_variety("C", 5, 2)
     with pytest.raises(ResourceLimit):
