@@ -10,10 +10,8 @@ from .constants import (AssemblyConfig, ConstantBreakdown, EulerProduct,
                         excedance_polynomial, local_density,
                         local_factor_from_graph, mu_infinity, polytope_volume,
                         zeta_value)
-from .counting import (CountReport, PrimitiveSolution, TorsorPoint,
-                       coprimality_condition, count_points, torsor_lift,
-                       torsor_push)
-from .errors import ContractViolation, PrimitivityError, ResourceLimit
+from .counting import CountReport, count_points
+from .errors import ContractViolation, ResourceLimit
 from .factorization import compose, factorize, is_reduced
 from .lattice import (LatticeCoefficients, count_congruence, count_solutions,
                       lattice_coefficients, slab_volume, solution_main_term,
@@ -24,13 +22,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssemblyConfig", "ConstantBreakdown", "ContractViolation", "CountReport",
-    "EulerProduct", "LatticeCoefficients", "MCEstimate", "PrimitiveSolution",
-    "PrimitivityError", "QuadratureEstimate", "ResourceLimit", "TorsorPoint",
-    "VarietyCountFp", "assemble_constant", "beta_tilde",
-    "compose", "coprimality_condition", "count_congruence", "count_points",
+    "EulerProduct", "LatticeCoefficients", "MCEstimate", "QuadratureEstimate",
+    "ResourceLimit", "VarietyCountFp", "assemble_constant", "beta_tilde",
+    "compose", "count_congruence", "count_points",
     "count_solutions", "enumerate_variety", "euler_product",
     "eulerian_polynomial", "excedance_polynomial", "factorize", "is_reduced",
     "lattice_coefficients", "local_density", "local_factor_from_graph",
     "mu_infinity", "polytope_volume", "slab_volume", "solution_main_term",
-    "torsor_lift", "torsor_push", "tuple_slab_volume", "zeta_value",
+    "tuple_slab_volume", "zeta_value",
 ]

@@ -25,15 +25,13 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import ContractViolation, PrimitivityError, ResourceLimit
-from .factorization import (_weight_levels, bit, dimension_of, factorize,
-                            is_reduced, weight)
+from .errors import ContractViolation, ResourceLimit
+from .factorization import _weight_levels
 from .lattice import count_zero_sum, count_zero_sum_boxes
 
 WORKERS_ENV = "HYPERCOUNT_WORKERS"
@@ -75,6 +73,8 @@ def int_nth_root(value: int, n: int) -> int:
         raise ContractViolation("value must be nonnegative")
     if value == 0:
         return 0
+    if value.bit_length() <= n:  # 1 <= value < 2^n; x ** (n - 1) would have n bits
+        return 1
     x = 1 << -(-value.bit_length() // n)
     while True:
         y = ((n - 1) * x + value // x ** (n - 1)) // n
@@ -113,173 +113,6 @@ def squarefree_divisors(m: int) -> list[tuple[int, int]]:
     if rest > 1:
         out = out + [(d * rest, -s) for d, s in out]
     return out
-
-
-# ------------------------------ point types ------------------------------
-
-def height(x: Sequence[int], y: Sequence[int]) -> int:
-    """Anticanonical height of an integer representative."""
-    n = len(x)
-    m = max(max(abs(v) for v in x), max(y))
-    return m ** n
-
-
-@dataclass(frozen=True)
-class PrimitiveSolution:
-    """A primitive integer representative with positive y coordinates."""
-
-    n: int
-    x: tuple[int, ...]
-    y: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.x) != self.n or len(self.y) != self.n:
-            raise ContractViolation("coordinate length mismatch")
-        if any(v < 1 for v in self.y):
-            raise ContractViolation("y coordinates must be positive")
-        if ambient_equation(self.x, self.y) != 0:
-            raise ContractViolation("coordinates do not satisfy the equation")
-        if math.gcd(*self.x, *self.y) != 1:
-            raise ContractViolation("coordinates are not primitive")
-
-    def height(self) -> int:
-        return height(self.x, self.y)
-
-    def qualifies(self, B: float) -> bool:
-        return self.height() <= math.floor(B)
-
-
-@lru_cache(maxsize=None)
-def _z_layout(n: int) -> tuple[tuple[bool, ...], tuple[tuple[int, ...], ...],
-                               tuple[tuple[int, ...], ...]]:
-    """Positions h - 1 of z, once per n: whether h has size >= 2, and for
-    each j the subsets of size >= 2 without j (the cofactor of x'_j) and
-    the subsets containing j (the product y_j)."""
-    idx = range(1, 1 << n)
-    big = tuple(weight(h) >= 2 for h in idx)
-    cofactor = tuple(tuple(h - 1 for h in idx if weight(h) >= 2 and not bit(h, j))
-                     for j in range(1, n + 1))
-    containing = tuple(tuple(h - 1 for h in idx if bit(h, j))
-                       for j in range(1, n + 1))
-    return big, cofactor, containing
-
-
-@dataclass(frozen=True)
-class TorsorPoint:
-    """Factorized coordinates (x', z) of a solution.
-
-    z has length 2^n - 1 with z_h >= 1 on subsets of size >= 2 and
-    z_h != 0 (any sign) on singletons; |z| is reduced and the factorized
-    equation sum_j x'_j prod_{size>=2} z_h^{1-bit_j(h)} = 0 holds.  The
-    primitivity condition gcd(z_top, x'_1 z_1, ..., x'_n z_{2^{n-1}}) = 1
-    is checked separately by ``coprimality_ok`` so that rejected images
-    can be represented.
-    """
-
-    n: int
-    xprime: tuple[int, ...]
-    z: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        n = self.n
-        if len(self.xprime) != n:
-            raise ContractViolation("x' length mismatch")
-        if len(self.z) != (1 << n) - 1:
-            raise ContractViolation("z length mismatch")
-        for v, big in zip(self.z, _z_layout(n)[0]):
-            if big and v < 1:
-                raise ContractViolation("z entries on subsets of size >= 2 must be >= 1")
-            if not big and v == 0:
-                raise ContractViolation("singleton z entries must be nonzero")
-        if not is_reduced([abs(v) for v in self.z]):
-            raise ContractViolation("|z| is not reduced")
-        if sum(self.xprime[j - 1] * self._cofactor(j) for j in range(1, n + 1)) != 0:
-            raise ContractViolation("factorized equation fails")
-
-    def _cofactor(self, j: int) -> int:
-        z = self.z
-        return math.prod([z[i] for i in _z_layout(self.n)[1][j - 1]])
-
-    def coprimality_ok(self) -> bool:
-        top = self.z[-1]
-        vals = [self.xprime[j - 1] * self.z[(1 << (j - 1)) - 1]
-                for j in range(1, self.n + 1)]
-        return math.gcd(top, *vals) == 1
-
-
-def ambient_equation(x: Sequence[int], y: Sequence[int]) -> int:
-    """Left-hand side sum_i x_i prod_{j != i} y_j."""
-    n = len(x)
-    total = 0
-    for i in range(n):
-        total += x[i] * math.prod(y[j] for j in range(n) if j != i)
-    return total
-
-
-# ------------------------------ torsor maps ------------------------------
-
-def torsor_push(point: TorsorPoint) -> PrimitiveSolution:
-    """Image of a torsor point: x_i = z_{2^{i-1}} x'_i, y_i = prod z_h^{bit_i(h)}.
-
-    Raises ``PrimitivityError`` when the primitivity gcd exceeds 1.  When
-    singleton z entries are negative, the image is normalized into the
-    positive-y representative by flipping the sign pairs (x_i, y_i), which
-    preserves the equation and the height.
-    """
-    if not point.coprimality_ok():
-        raise PrimitivityError("gcd condition fails; image is not primitive")
-    n = point.n
-    z = point.z
-    containing = _z_layout(n)[2]
-    x = []
-    y = []
-    for i in range(1, n + 1):
-        xi = z[(1 << (i - 1)) - 1] * point.xprime[i - 1]
-        yi = math.prod([z[h] for h in containing[i - 1]])
-        if yi < 0:
-            xi, yi = -xi, -yi
-        x.append(xi)
-        y.append(yi)
-    return PrimitiveSolution(n, tuple(x), tuple(y))
-
-
-def torsor_lift(sol: PrimitiveSolution) -> TorsorPoint:
-    """Factorized coordinates of a primitive solution: z = factorize(y) and
-    x'_j = x_j / z_{2^{j-1}} (exact by the divisibility forced by the
-    factorized equation; signs stay on x')."""
-    z = factorize(sol.y)
-    xprime = []
-    for j in range(1, sol.n + 1):
-        zj = z[(1 << (j - 1)) - 1]
-        q, r = divmod(sol.x[j - 1], zj)
-        if r:
-            raise ContractViolation("singleton entry does not divide x")
-        xprime.append(q)
-    return TorsorPoint(sol.n, tuple(xprime), z)
-
-
-def coprimality_condition(z: Sequence[int], n: int | None = None) -> bool:
-    """gcd over all n! maximal chains of the off-chain products equals 1.
-
-    A maximal chain is 2^{j1-1} < 2^{j1-1}+2^{j2-1} < ... < 2^n - 1 for a
-    permutation (j1, ..., jn); the condition is equivalent to reducedness.
-    """
-    import itertools as _it
-
-    if n is None:
-        n = dimension_of(z)
-    g = 0
-    for perm in _it.permutations(range(1, n + 1)):
-        chain = set()
-        acc = 0
-        for j in perm:
-            acc |= 1 << (j - 1)
-            chain.add(acc)
-        prod = math.prod(v for h, v in enumerate(z, start=1) if h not in chain)
-        g = math.gcd(g, prod)
-        if g == 1:
-            return True
-    return g == 1
 
 
 # --------------------------- tuple enumeration ---------------------------
@@ -564,7 +397,7 @@ def count_points(n: int, B: float | Fraction, method: str = "direct",
     All pipelines return identical values; ``shards`` partitions the
     outermost enumeration deterministically (the aggregate is independent
     of the partition).  Set HYPERCOUNT_WORKERS to run shards in parallel
-    processes, at most one per shard and per CPU.
+    processes, at most one per shard that can hold a tuple and per CPU.
     """
     if method not in METHODS:
         raise ContractViolation(f"unknown method {method!r}")
@@ -583,18 +416,16 @@ def count_points(n: int, B: float | Fraction, method: str = "direct",
     if method == "torsor" and not _packs_in_int64(n, X):
         raise ResourceLimit(f"torsor count with n = {n}, X = {X} does not "
                             f"pack into int64")
-    workers = min(_env_workers(), shards, os.cpu_count() or 1)
+    # a shard above X holds no t <= X (nor any first-level v <= X)
+    tasks = [(method, n, X, s, shards) for s in range(min(shards, X + 1))] if X else []
+    workers = min(_env_workers(), len(tasks), os.cpu_count() or 1)
     t0 = time.perf_counter()
-    if not X:
-        count = 0
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_run_shard, tasks))
     else:
-        tasks = [(method, n, X, s, shards) for s in range(shards)]
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(_run_shard, tasks))
-        else:
-            parts = [_run_shard(t) for t in tasks]
-        count = (1 << (n - 1)) * sum(parts)
+        parts = [_run_shard(t) for t in tasks]
+    count = (1 << (n - 1)) * sum(parts)
     seconds = time.perf_counter() - t0
     exponent = (1 << n) - n - 1
     ratio = None

@@ -8,7 +8,3 @@ class ContractViolation(ValueError):
 
 class ResourceLimit(RuntimeError):
     """The requested parameters exceed the supported enumeration budget."""
-
-
-class PrimitivityError(ValueError):
-    """A torsor point maps to a non-primitive ambient solution."""

@@ -14,7 +14,8 @@ positive integers (y_1, ..., y_n) factors uniquely as
 
 and then prod_h z_h = lcm(y_1, ..., y_n).  ``factorize`` builds the
 z-tuple by descending subset size via iterated gcds; ``compose``
-inverts it.
+inverts it.  Tuples of n >= 13 coordinates are refused with
+``ResourceLimit``.
 
 Tuples are stored densely: index 0 of the array holds z_1.
 """
@@ -26,7 +27,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Sequence
 
-from .errors import ContractViolation
+from .errors import ContractViolation, ResourceLimit
 
 
 def bit(h: int, j: int) -> int:
@@ -73,6 +74,14 @@ def dimension_of(z: Sequence[int]) -> int:
     return n
 
 
+def _refuse_wide(n: int) -> None:
+    """Refuse n >= 13 coordinates before any work: a tuple has 2^n - 1
+    entries, and is_reduced walks the ~4^n incomparable pairs, which
+    peak at 1 GiB for n = 12 (a run of about 10 s)."""
+    if n >= 13:
+        raise ResourceLimit(f"{n} coordinates exceed the supported n <= 12")
+
+
 @lru_cache(maxsize=None)
 def _incomparable_above(n: int) -> tuple[tuple[int, Callable], ...]:
     """Pairs (h - 1, get) for each h with an incomparable l > h: get(z)
@@ -93,6 +102,7 @@ def is_reduced(z: Sequence[int]) -> bool:
     h: a prime shared with that product divides one of its factors.
     """
     n = dimension_of(z)
+    _refuse_wide(n)
     if min(z) < 1:
         raise ContractViolation("entries must be positive integers")
     for i, get in _incomparable_above(n):
@@ -124,6 +134,7 @@ def factorize(y: Sequence[int]) -> tuple[int, ...]:
         raise ContractViolation("need at least two coordinates")
     if any(v < 1 for v in y):
         raise ContractViolation("coordinates must be positive integers")
+    _refuse_wide(n)
     z = [1] * ((1 << n) - 1)
     assigned = [1] * (n + 1)  # assigned[j] = prod of z_l over assigned l containing j
     for level in _weight_levels(n):

@@ -146,12 +146,12 @@ def enumerate_variety(kind: str, n: int, p: int) -> VarietyCountFp:
         raise ContractViolation(f"unknown variety kind {kind!r}")
     if n < 2:
         raise ContractViolation("n must be >= 2")
-    if p < 2 or any(p % q == 0 for q in range(2, p)):
-        raise ContractViolation("p must be prime")
     n_max, p_max = BUDGET[kind]
-    if n > n_max or p > p_max:
+    if n > n_max or p > p_max:  # first, as the primality test below is O(p)
         raise ResourceLimit(
             f"kind {kind} supports n <= {n_max}, p <= {p_max}")
+    if p < 2 or any(p % q == 0 for q in range(2, p)):
+        raise ContractViolation("p must be prime")
     if kind == "C":
         count = sum(1 for _ in coxeter_points(n, p))
     elif kind == "B0":

@@ -1,6 +1,6 @@
 """Test-only oracles: Monte Carlo slab volumes, the exact inner volume of
-the beta~ integrand, dilation counting and the series form of the
-Eulerian polynomials.
+the beta~ integrand, dilation counting, the series form of the Eulerian
+polynomials and the maximal-chain form of reducedness.
 
 Like ``hypercount.oracles``, which holds the oracles that ``verify``
 shares with the tests, everything here is written directly from the
@@ -80,3 +80,20 @@ def eulerian_by_series(n: int) -> list[int]:
                 out[i + j] += c * s
     assert all(v == 0 for v in out[n:]), "closed form must truncate"
     return out[:n]
+
+
+def coprimality_condition(z) -> bool:
+    """gcd over all n! maximal chains of the off-chain products equals 1.
+
+    A maximal chain is 2^{j1-1} < 2^{j1-1}+2^{j2-1} < ... < 2^n - 1 for a
+    permutation (j1, ..., jn) of {1, ..., n}, len(z) = 2^n - 1; the
+    condition is equivalent to reducedness.
+    """
+    n = (len(z) + 1).bit_length() - 1
+    g = 0
+    for perm in itertools.permutations(range(1, n + 1)):
+        chain = set(itertools.accumulate(1 << (j - 1) for j in perm))
+        g = math.gcd(g, math.prod(v for h, v in enumerate(z, start=1) if h not in chain))
+        if g == 1:
+            return True
+    return False

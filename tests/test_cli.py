@@ -50,6 +50,12 @@ def test_count_scientific_bound(capsys):
     assert report["B"] == 1000.0
     assert report["count"] == 195004
     assert report["ratio"] > 0
+    # a shard above X = 10 holds no tuple, so 10^9 shards run 11 of them
+    for method in counting.METHODS:
+        code, out, _ = run_cli(capsys, "count", "--n", "3", "--B", "1e3",
+                               "--method", method, "--shards", "1000000000")
+        report = json.loads(out)
+        assert code == 0 and (report["count"], report["shards"]) == (195004, 10 ** 9)
     # log(B)^(2^n - n - 1) passes the float range here
     for n, bound in (("9", "512"), ("10", "8")):
         code, out, _ = run_cli(capsys, "count", "--n", n, "--B", bound)
@@ -228,9 +234,9 @@ def test_verify_floors_the_bound_exactly(capsys):
 
 
 def test_oversize_count_exits_2_at_once(capsys):
-    for bound in ("1e10", "2e19"):
+    for n, bound in (("3", "1e10"), ("3", "2e19"), ("1000000000", "2")):
         start = time.perf_counter()
-        code, out, err = run_cli(capsys, "count", "--n", "3", "--B", bound)
+        code, out, err = run_cli(capsys, "count", "--n", n, "--B", bound)
         assert time.perf_counter() - start < 1
         assert code == 2 and out == "" and "resource limit" in err
 
@@ -278,8 +284,13 @@ def test_workers_env_is_validated_and_capped(capsys, monkeypatch):
 
 
 def test_exit_code_resource_limit(capsys):
-    code, _, err = run_cli(capsys, "toric", "--kind", "C", "--n", "5", "--p", "2")
-    assert code == 2 and "resource limit" in err
+    for argv in (("toric", "--kind", "C", "--n", "5", "--p", "2"),
+                 ("toric", "--kind", "C", "--n", "3", "--p", "1000000007"),
+                 ("factorize", "--y", ",".join(["6"] * 13))):
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and "resource limit" in err
     code, _, err = run_cli(capsys, "polytope", "--n", "4", "--method", "exact")
     assert code == 2
 

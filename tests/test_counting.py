@@ -9,13 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypercount import counting, verify
-from hypercount.counting import (CountReport, PrimitiveSolution, TorsorPoint,
-                                 ambient_equation, coprimality_condition,
-                                 count_points, int_nth_root, mobius_sieve,
-                                 squarefree_divisors, torsor_lift, torsor_push)
-from hypercount.errors import ContractViolation, PrimitivityError, ResourceLimit
+from hypercount.counting import (CountReport, count_points, int_nth_root,
+                                 mobius_sieve, squarefree_divisors)
+from hypercount.errors import ContractViolation, ResourceLimit
 from hypercount.factorization import compose, factorize, is_reduced
 from hypercount.oracles import brute_count_points, solutions_by_grid
+from oracles import coprimality_condition
 
 
 def test_int_nth_root():
@@ -44,96 +43,29 @@ def test_mobius_sieve_and_divisors():
     assert squarefree_divisors(1) == [(1, 1)]
 
 
-def test_primitive_solution_validation():
-    PrimitiveSolution(3, (1, -1, 0), (1, 1, 1))
-    PrimitiveSolution(3, (0, 0, 0), (1, 1, 1))  # zero x is a point
-    with pytest.raises(ContractViolation):
-        PrimitiveSolution(3, (1, -1, 0), (1, 1, -1))
-    with pytest.raises(ContractViolation):
-        PrimitiveSolution(3, (1, 1, 0), (1, 1, 1))  # equation fails
-    with pytest.raises(ContractViolation):
-        PrimitiveSolution(3, (2, 0, -2), (2, 2, 2))  # not primitive
-
-
-def test_height_and_qualification():
-    s = PrimitiveSolution(3, (2, 0, -1), (2, 2, 1))
-    assert s.height() == 8
-    assert s.qualifies(8) and not s.qualifies(7.9)
-
-
-def test_torsor_push_examples():
-    t = TorsorPoint(3, (1, -1, 0), (1,) * 7)
-    assert torsor_push(t) == PrimitiveSolution(3, (1, -1, 0), (1, 1, 1))
-    t = TorsorPoint(3, (2, 0, -1), (1, 1, 2, 1, 1, 1, 1))
-    s = torsor_push(t)
-    assert (s.x, s.y) == ((2, 0, -1), (2, 2, 1))
-    assert ambient_equation(s.x, s.y) == 0
-    bad = TorsorPoint(3, (2, -2, 0), (1, 1, 1, 1, 1, 1, 2))
-    assert not bad.coprimality_ok()
-    with pytest.raises(PrimitivityError):
-        torsor_push(bad)
-
-
-def test_torsor_push_normalizes_negative_singletons():
-    t = TorsorPoint(3, (-2, 0, 1), (-1, 1, 2, 1, 1, 1, 1))
-    s = torsor_push(t)
-    assert all(v >= 1 for v in s.y)
-    assert ambient_equation(s.x, s.y) == 0
-    # raw image ((2, 0, 1), (-2, 2, 1)); the first sign pair flips
-    assert s == PrimitiveSolution(3, (-2, 0, 1), (2, 2, 1))
-
-
-def test_torsor_lift_examples():
-    s = PrimitiveSolution(3, (1, -1, 0), (1, 1, 1))
-    t = torsor_lift(s)
-    assert t.xprime == (1, -1, 0) and t.z == (1,) * 7
-    s = PrimitiveSolution(3, (2, 0, -1), (2, 2, 1))
-    t = torsor_lift(s)
-    assert t.z == (1, 1, 2, 1, 1, 1, 1) and t.xprime == (2, 0, -1)
-    assert torsor_push(t) == s
-    s = PrimitiveSolution(3, (0, 0, 0), (1, 1, 1))
-    t = torsor_lift(s)
-    assert t.xprime == (0, 0, 0) and t.z == (1,) * 7
-
-
 def test_torsor_bijection_battery():
-    """Over all primitive solutions of height <= 1000 (n = 3): the lift is
-    injective, push inverts it, and the admissible torsor points
-    enumerate the same set."""
+    """The factorized boxes map one to one onto the primitive solutions of
+    height <= 1000 (n = 3).  For each y the box of z = factorize(y) is the
+    x' with |x'_j| <= X // z_{2^{j-1}} satisfying the factorized equation
+    sum_j x'_j prod_{|h| >= 2, j not in h} z_h = 0 and the primitivity
+    gcd(z_top, x'_1 z_1, ..., x'_n z_{2^{n-1}}) = 1; x' maps to
+    (z_{2^{j-1}} x'_j, compose(z))."""
     X = 10
-    sols = [PrimitiveSolution(3, x, y) for x, y in solutions_by_grid(3, X)]
-    lifted = set()
-    for s in sols:
-        t = torsor_lift(s)
-        assert t.coprimality_ok()
-        assert all(v >= 1 for v in t.z)
-        assert compose(t.z) == s.y
-        assert torsor_push(t) == s
-        lifted.add((t.xprime, t.z))
-    assert len(lifted) == len(sols)
-
-    # independent torsor-side enumeration within the same height box: each
-    # x' box is built in numpy and filtered by the factorized equation and
-    # the primitivity gcd of coprimality_ok
-    found = 0
-    images = set()
+    images = []
     for y in itertools.product(range(1, X + 1), repeat=3):
         z = factorize(y)
-        single = np.array([z[(1 << (j - 1)) - 1] for j in range(1, 4)])
+        single = np.array([z[(1 << j) - 1] for j in range(3)])
         co = [math.prod(v for h, v in enumerate(z, start=1)
-                        if bin(h).count("1") >= 2 and not ((h >> (j - 1)) & 1))
-              for j in range(1, 4)]
+                        if bin(h).count("1") >= 2 and not (h >> j) & 1)
+              for j in range(3)]
         box = np.stack(np.meshgrid(*(np.arange(-c, c + 1) for c in X // single),
                                    indexing="ij"), axis=-1).reshape(-1, 3)
-        box = box[box @ co == 0]
-        box = box[np.gcd.reduce(box * single, axis=1, initial=z[-1]) == 1]
-        for xp in map(tuple, box.tolist()):
-            point = TorsorPoint(3, xp, z)
-            assert point.coprimality_ok()
-            found += 1
-            images.add(torsor_push(point))
-    assert found == len(sols)
-    assert len(images) == len(sols)
+        x = box[box @ co == 0] * single
+        x = x[np.gcd.reduce(x, axis=1, initial=z[-1]) == 1]
+        image_y = compose(z)
+        images += [(xs, image_y) for xs in map(tuple, x.tolist())]
+    assert len(set(images)) == len(images)
+    assert set(images) == set(solutions_by_grid(3, X))
 
 
 def test_sign_orbit():
@@ -144,7 +76,8 @@ def test_sign_orbit():
         for mask in range(8):
             xs = tuple(-v if (mask >> i) & 1 else v for i, v in enumerate(x))
             ys = tuple(-v if (mask >> i) & 1 else v for i, v in enumerate(y))
-            assert ambient_equation(xs, ys) == 0
+            assert sum(xs[i] * math.prod(ys[j] for j in range(3) if j != i)
+                       for i in range(3)) == 0
 
 
 def test_coprimality_condition_examples():

@@ -71,6 +71,8 @@ def test_budget_and_validation():
         enumerate_variety("B0", 4, 2)
     with pytest.raises(ResourceLimit):
         enumerate_variety("X0", 3, 5)
+    with pytest.raises(ResourceLimit):
+        enumerate_variety("C", 3, 9)  # the budget is checked before primality
     with pytest.raises(ContractViolation):
         enumerate_variety("C", 3, 4)  # not prime
     with pytest.raises(ContractViolation):
