@@ -71,21 +71,9 @@ def eulerian_polynomial(n: int) -> list[int]:
         raise ContractViolation("n must be >= 1")
     p = [1]
     for m in range(1, n):
-        # (1 + mX) p + X (1 - X) p'
-        deriv = [(k + 1) * c for k, c in enumerate(p[1:])]
-        out = [0] * (len(p) + 1)
-        for k, c in enumerate(p):
-            out[k] += c
-            out[k + 1] += m * c
-        for k, c in enumerate(deriv):
-            out[k + 1] += c
-            if k + 2 < len(out):
-                out[k + 2] -= c
-            elif c:
-                out.append(-c)
-        while len(out) > 1 and out[-1] == 0:
-            out.pop()
-        p = out
+        # X^k of (1 + mX) p + X (1 - X) p' is (k+1) p_k + (m-k+1) p_{k-1}
+        p = [(k + 1) * a + (m - k + 1) * b
+             for k, (a, b) in enumerate(zip(p + [0], [0] + p))]
     return p
 
 
@@ -293,20 +281,11 @@ def mc_mean(fn: Callable[..., np.ndarray], samples: int, seed: int,
 
 # ------------------------------ polytope ------------------------------
 
-def reserved_indices(n: int) -> tuple[set[int], set[int], set[int]]:
-    """The three groups of subset indices whose variables are eliminated
-    from the polytope coordinates."""
-    chain = {(1 << j) - 1 for j in range(2, n)}        # 3, 7, ..., 2^{n-1}-1
-    special = {1} if n == 3 else {5}
-    top = {(1 << n) - 1}
-    return chain, special, top
-
-
 def free_indices(n: int) -> list[int]:
-    """Coordinates of the polytope: all h outside the reserved groups;
-    there are 2^n - n - 1 of them."""
-    h0, h1, h2 = reserved_indices(n)
-    reserved = h0 | h1 | h2
+    """Coordinates of the polytope: every h but the chain 3, 7, ...,
+    2^n - 1 and one special index (1 for n = 3, else 5), whose variables
+    are eliminated; there are 2^n - n - 1 of them."""
+    reserved = {(1 << j) - 1 for j in range(2, n + 1)} | {1 if n == 3 else 5}
     free = [h for h in range(1, (1 << n)) if h not in reserved]
     assert len(free) == (1 << n) - n - 1
     return free
@@ -314,53 +293,27 @@ def free_indices(n: int) -> list[int]:
 
 def polytope_constraints(n: int) -> list[tuple[dict[int, int], int]]:
     """Affine constraints sum_h coeff[h] * t_h <= const over the free
-    coordinates (box constraints 0 <= t_h <= 1 are implicit)."""
+    coordinates (box constraints 0 <= t_h <= 1 are implicit).
+
+    For n >= 4 every row is a sum of bit differences bit_i(h) - bit_j(h)
+    over its pairs (i, j), keyed in ascending h wherever some pair
+    differs, so a coefficient may cancel to 0 and stay; bit n + 1 is 0
+    throughout, which makes the pair (n, n + 1) the top-bit sum."""
     if n < 3:
         raise ContractViolation("n must be >= 3")
     if n == 3:
         return [({2: 1, 4: -1, 5: -1}, 0),
                 ({4: 1, 5: 1, 6: 1}, 1),
                 ({5: 1, 2: -1, 6: -1}, 0)]
-    free = set(free_indices(n))
+    free = free_indices(n)
 
-    def add(coeffs: dict[int, int], h: int, c: int) -> None:
-        if h in free:
-            coeffs[h] = coeffs.get(h, 0) + c
+    def row(*pairs: tuple[int, int]) -> dict[int, int]:
+        return {h: sum(bit(h, i) - bit(h, j) for i, j in pairs) for h in free
+                if any(bit(h, i) != bit(h, j) for i, j in pairs)}
 
-    out: list[tuple[dict[int, int], int]] = []
-    for j in range(4, n):
-        coeffs: dict[int, int] = {}
-        for h in range(1, 1 << n):
-            if bit(h, j) and not bit(h, j + 1):
-                add(coeffs, h, 1)
-            elif not bit(h, j) and bit(h, j + 1):
-                add(coeffs, h, -1)
-        out.append((coeffs, 0))
-    coeffs = {}
-    for h in range(1, 1 << n):
-        if bit(h, n):
-            add(coeffs, h, 1)
-    out.append((coeffs, 1))
-    for (i, j) in ((1, 3), (1, 2)):
-        coeffs = {}
-        for h in range(1, 1 << n):
-            if bit(h, i) and not bit(h, j):
-                add(coeffs, h, 1)
-            elif not bit(h, i) and bit(h, j):
-                add(coeffs, h, -1)
-        out.append((coeffs, 0))
-    coeffs = {}
-    for h in range(1, 1 << n):
-        if not bit(h, 1) and bit(h, 2):
-            add(coeffs, h, 1)
-        elif bit(h, 1) and not bit(h, 2):
-            add(coeffs, h, -1)
-        if not bit(h, 4) and bit(h, 3):
-            add(coeffs, h, 1)
-        elif bit(h, 4) and not bit(h, 3):
-            add(coeffs, h, -1)
-    out.append((coeffs, 0))
-    return out
+    return ([(row((j, j + 1)), 0) for j in range(4, n)]
+            + [(row((n, n + 1)), 1), (row((1, 3)), 0), (row((1, 2)), 0),
+               (row((2, 1), (3, 4)), 0)])
 
 
 def _boole(f: Callable[[Fraction], Fraction], lo: Fraction, hi: Fraction) -> Fraction:
@@ -612,13 +565,9 @@ def _adaptive_square(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     coarse = simpson(x0, y0, h)
     for depth in range(max_depth):
         h2 = h / 2
-        fine = np.zeros_like(coarse)
-        subs = []
-        for dx in (0.0, 1.0):
-            for dy in (0.0, 1.0):
-                s = simpson(x0 + dx * h2, y0 + dy * h2, h2)
-                subs.append(s)
-                fine = fine + s
+        cells = [(x, y, h2, simpson(x, y, h2))
+                 for x in (x0, x0 + h2) for y in (y0, y0 + h2)]
+        fine = sum((s for *_, s in cells), np.zeros_like(coarse))
         err = np.abs(fine - coarse)
         area = h * h
         keep = (err <= tol * area) | (depth == max_depth - 1)
@@ -626,17 +575,8 @@ def _adaptive_square(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
         err_total += float(err[keep].sum())
         if keep.all():
             break
-        sx, sy, sh, sc = [], [], [], []
-        for k, (dx, dy) in enumerate(((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0))):
-            sub = subs[(0 if dx == 0 else 2) + (0 if dy == 0 else 1)]
-            sx.append((x0 + dx * h2)[~keep])
-            sy.append((y0 + dy * h2)[~keep])
-            sh.append(h2[~keep])
-            sc.append(sub[~keep])
-        x0 = np.concatenate(sx)
-        y0 = np.concatenate(sy)
-        h = np.concatenate(sh)
-        coarse = np.concatenate(sc)
+        x0, y0, h, coarse = (np.concatenate([part[~keep] for part in parts])
+                             for parts in zip(*cells))
     return QuadratureEstimate(total, err_total)
 
 

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import ContractViolation, ResourceLimit
 
@@ -75,41 +74,27 @@ def dimension_of(z: Sequence[int]) -> int:
 
 
 def _refuse_wide(n: int) -> None:
-    """Refuse n >= 13 coordinates before any work: a tuple has 2^n - 1
-    entries, and is_reduced walks the ~4^n incomparable pairs, which
-    peak at 1 GiB for n = 12 (a run of about 10 s)."""
+    """Refuse n >= 13 coordinates before any work: ``factorize`` emits
+    all 2^n - 1 entries of the tuple, so its time and its report double
+    with each further coordinate (4,095 entries at n = 12)."""
     if n >= 13:
         raise ResourceLimit(f"{n} coordinates exceed the supported n <= 12")
-
-
-@lru_cache(maxsize=None)
-def _incomparable_above(n: int) -> tuple[tuple[int, Callable], ...]:
-    """Pairs (h - 1, get) for each h with an incomparable l > h: get(z)
-    is the sequence of the entries z_l over all such l."""
-    above: list[list[int]] = [[] for _ in range((1 << n) - 1)]
-    for h, l in incomparable_pairs(n):
-        above[h - 1].append(l - 1)
-    return tuple((i, itemgetter(*ls) if len(ls) > 1
-                  else itemgetter(slice(ls[0], ls[0] + 1)))
-                 for i, ls in enumerate(above) if ls)
 
 
 def is_reduced(z: Sequence[int]) -> bool:
     """True when gcd(z_h, z_l) = 1 for every incomparable pair (h, l).
 
-    The tuple must have length 2^n - 1 with entries >= 1.  Each z_h > 1
-    takes one gcd with the product of the z_l, l > h, incomparable with
-    h: a prime shared with that product divides one of its factors.
+    The tuple must have length 2^n - 1 with entries >= 1.  An entry 1 is
+    coprime to everything, so only pairs of entries > 1 take a gcd.
     """
     n = dimension_of(z)
     _refuse_wide(n)
     if min(z) < 1:
         raise ContractViolation("entries must be positive integers")
-    for i, get in _incomparable_above(n):
-        v = z[i]
-        if v > 1 and math.gcd(v, math.prod(get(z))) > 1:
-            return False
-    return True
+    big = [(h, v) for h, v in enumerate(z, start=1) if v > 1]
+    return all(math.gcd(v, w) == 1
+               for i, (h, v) in enumerate(big) for l, w in big[i + 1:]
+               if (h & l) not in (h, l))
 
 
 @lru_cache(maxsize=None)

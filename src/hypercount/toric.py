@@ -68,11 +68,12 @@ def _block_order(n: int) -> list[int]:
     return sorted((h for h in range(1, 1 << n) if weight(h) >= 2), reverse=True)
 
 
-def coxeter_points(n: int, p: int) -> Iterator[Blocks]:
-    """All points of the compatibility variety as {h: Y-block} maps."""
+def _compatible_blocks(n: int, p: int,
+                       cands: dict[int, list[tuple[int, ...]]]) -> Iterator[Blocks]:
+    """Every choice of one block per h from its candidates ``cands[h]``
+    that satisfies the compatibility equations, as {h: block} maps."""
     order = _block_order(n)
     mem = {h: members(h, n) for h in order}
-    cands = {h: projective_points(weight(h), p) for h in order}
     supers = {h: [g for g in order if g != h and (g & h) == h] for h in order}
     assigned: Blocks = {}
 
@@ -91,6 +92,12 @@ def coxeter_points(n: int, p: int) -> Iterator[Blocks]:
     yield from dfs(0)
 
 
+def coxeter_points(n: int, p: int) -> Iterator[Blocks]:
+    """All points of the compatibility variety as {h: Y-block} maps."""
+    return _compatible_blocks(n, p, {h: projective_points(weight(h), p)
+                                     for h in _block_order(n)})
+
+
 def _coupled_blocks(Y: tuple[int, ...], p: int) -> list[tuple[int, ...]]:
     """Candidate partner blocks Z with Y_i Z_i constant across the block."""
     out = []
@@ -103,25 +110,9 @@ def _coupled_blocks(Y: tuple[int, ...], p: int) -> list[tuple[int, ...]]:
 
 def paired_points(n: int, p: int) -> Iterator[tuple[Blocks, Blocks]]:
     """Points of the paired variety: (Y-blocks, Z-blocks)."""
-    order = _block_order(n)
-    mem = {h: members(h, n) for h in order}
-    supers = {h: [g for g in order if g != h and (g & h) == h] for h in order}
     for yblocks in coxeter_points(n, p):
-        zassigned: Blocks = {}
-
-        def dfs(i: int) -> Iterator[Blocks]:
-            if i == len(order):
-                yield dict(zassigned)
-                return
-            h = order[i]
-            for Z in _coupled_blocks(yblocks[h], p):
-                if all(_proportional(zassigned[g], mem[g], Z, mem[h], p)
-                       for g in supers[h]):
-                    zassigned[h] = Z
-                    yield from dfs(i + 1)
-                    del zassigned[h]
-
-        for zblocks in dfs(0):
+        cands = {h: _coupled_blocks(Y, p) for h, Y in yblocks.items()}
+        for zblocks in _compatible_blocks(n, p, cands):
             yield yblocks, zblocks
 
 

@@ -293,6 +293,11 @@ def test_exit_code_resource_limit(capsys):
         assert code == 2 and "resource limit" in err
     code, _, err = run_cli(capsys, "polytope", "--n", "4", "--method", "exact")
     assert code == 2
+    # the widest admitted tuple is cheap: only entries > 1 take a gcd
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "factorize", "--y", ",".join(["6"] * 12))
+    assert time.perf_counter() - start < 1
+    assert code == 0 and json.loads(out)["reduced"]
 
 
 def test_exit_code_verification_failure(capsys, monkeypatch):

@@ -114,6 +114,18 @@ def test_polytope_dimensions_and_constraints():
         assert (ce, be) == (cg, bg)
 
 
+def test_polytope_rows_keep_their_key_order():
+    # the Monte Carlo row sums add the coefficients in dict order, and the
+    # last row keeps index 10, whose two bit differences cancel
+    assert [list(coeffs.items()) for coeffs, _ in polytope_constraints(4)] == [
+        [(8, 1), (9, 1), (10, 1), (11, 1), (12, 1), (13, 1), (14, 1)],
+        [(1, 1), (4, -1), (6, -1), (9, 1), (11, 1), (12, -1), (14, -1)],
+        [(1, 1), (2, -1), (6, -1), (9, 1), (10, -1), (13, 1), (14, -1)],
+        [(1, -1), (2, 1), (4, 1), (6, 2), (8, -1), (9, -2), (10, 0), (11, -1),
+         (13, -1), (14, 1)],
+    ]
+
+
 def test_polytope_volume_exact():
     v = polytope_volume(3, "exact")
     assert isinstance(v, Fraction)
@@ -220,6 +232,21 @@ def test_beta_tilde_quadrature_n3():
     assert isinstance(est, QuadratureEstimate)
     assert est.error_bound <= 1e-7
     assert abs(est.value - BETA3) <= max(est.error_bound, 1e-8)
+
+
+# (value, error bound) as float.hex of the n = 3 quadrature: any change to
+# the subdivision or to the order of its float sums shows here
+BETA3_PINNED = {
+    1e-6: ("0x1.f57162f4a2a45p+1", "0x1.bfd13fb58a100p-24"),
+    1e-8: ("0x1.f57163021d12ep+1", "0x1.076b32dedf040p-30"),
+    1e-10: ("0x1.f57163023b862p+1", "0x1.7287a373111f0p-37"),
+}
+
+
+@pytest.mark.parametrize("tol", sorted(BETA3_PINNED))
+def test_beta_tilde_quadrature_matches_pinned_bits(tol):
+    est = beta_tilde(3, tol)
+    assert (est.value.hex(), est.error_bound.hex()) == BETA3_PINNED[tol]
 
 
 def test_beta_inner_volume_examples():

@@ -44,8 +44,8 @@ def test_is_reduced_examples():
 
 def test_is_reduced_matches_definition_randomized():
     rng = np.random.default_rng(3)
-    for n in (3, 4):
-        for _ in range(300):
+    for n, draws in ((3, 300), (4, 300), (5, 100)):
+        for _ in range(draws):
             z = tuple(int(v) for v in rng.integers(1, 7, size=(1 << n) - 1))
             assert is_reduced(z) == reduced_by_definition(z, n)
 
