@@ -159,17 +159,23 @@ def _int_param(text: str, name: str) -> int:
 
 
 def _cmd_factorize(args: argparse.Namespace) -> dict:
+    digits = sys.get_int_max_str_digits()  # Python's int <-> str limit, 0: none
+    parts = args.y.split(",")
+    if digits and max(map(len, parts)) > digits:
+        raise ResourceLimit(f"tuple entries are limited to {digits} digits")
     try:
-        y = tuple(int(part) for part in args.y.split(","))
+        y = tuple(int(part) for part in parts)
     except ValueError as exc:
         raise _UsageError(f"invalid tuple {args.y!r}") from exc
     if args.n is not None and args.n != len(y):
         raise _UsageError(f"--n {args.n} does not match tuple length {len(y)}")
     z = factorization.factorize(y)
+    lcm = factorization.tuple_product(z)
+    if digits and lcm >= 10 ** digits:
+        raise ResourceLimit(f"the lcm of the tuple is limited to {digits} digits")
     return {
         "command": "factorize", "n": len(y), "y": list(y), "z": list(z),
-        "lcm": factorization.tuple_product(z),
-        "reduced": factorization.is_reduced(z),
+        "lcm": lcm, "reduced": factorization.is_reduced(z),
     }
 
 
@@ -185,13 +191,11 @@ def _cmd_count(args: argparse.Namespace) -> dict:
 
 
 def _cmd_constant(args: argparse.Namespace) -> dict:
+    prime_limit = _int_param(args.prime_limit, "prime limit")
+    samples = _int_param(args.mc_samples, "sample count")
     cfg = constants.AssemblyConfig(
-        prime_limit=_int_param(args.prime_limit, "prime limit"),
-        v_method=args.v_method,
-        v_samples=_int_param(args.mc_samples, "sample count"),
-        beta_tol=args.beta_tol,
-        beta_samples=_int_param(args.mc_samples, "sample count"),
-        mu_samples=_int_param(args.mc_samples, "sample count"),
+        prime_limit=prime_limit, v_method=args.v_method, v_samples=samples,
+        beta_tol=args.beta_tol, beta_samples=samples, mu_samples=samples,
         seed=args.seed)
     br = constants.assemble_constant(args.n, cfg)
     return {
@@ -267,10 +271,7 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         report = _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except ContractViolation as exc:
+    except (_UsageError, ContractViolation) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except ResourceLimit as exc:

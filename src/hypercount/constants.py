@@ -101,19 +101,9 @@ def local_factor_from_graph(n: int) -> list[int]:
         raise ResourceLimit("edge-subset enumeration supported only for n = 3")
     edges = incomparable_pairs(n)  # the top index is comparable to everything
     b = [0] * ((1 << n) - 1)
-    for mask in range(1 << len(edges)):
-        covered = 0
-        sign = 1
-        m = mask
-        idx = 0
-        while m:
-            if m & 1:
-                h, l = edges[idx]
-                covered |= (1 << h) | (1 << l)
-                sign = -sign
-            m >>= 1
-            idx += 1
-        b[bin(covered).count("1")] += sign
+    for size in range(len(edges) + 1):
+        for U in itertools.combinations(edges, size):
+            b[len({v for edge in U for v in edge})] += (-1) ** size
     return b
 
 
@@ -369,18 +359,14 @@ def polytope_volume(n: int, method: str = "exact",
              float(const))
             for coeffs, const in polytope_constraints(n)]
 
-    # For n >= 4 the unit-sum constraint over the top-bit coordinates is
-    # so binding (its own volume is 1/k!) that naive sampling rarely
-    # hits; those coordinates are drawn from their simplex instead and
-    # the estimator carries the exact 1/k! weight.
-    simplex_idx = np.empty(0, dtype=np.int64)
-    weight_factor = 1.0
-    if n >= 4:
-        for (coeffs, const), row in zip(polytope_constraints(n), rows):
-            if const == 1 and all(c == 1 for c in coeffs.values()):
-                simplex_idx = row[0]
-                weight_factor = 1.0 / math.factorial(len(simplex_idx))
-                break
+    # For n >= 4 the unit-sum constraint over the k top-bit coordinates
+    # (the row of the pair (n, n + 1)) is so binding (its own volume is
+    # 1/k!) that naive sampling rarely hits; those coordinates are drawn
+    # from their simplex instead and the estimator carries the exact 1/k!
+    # weight, which is 1 at n = 3, where no coordinate is drawn so.
+    simplex_idx = np.array([i for i, h in enumerate(free) if n >= 4 and bit(h, n)],
+                           dtype=np.int64)
+    weight_factor = 1.0 / math.factorial(len(simplex_idx))
     plain_idx = np.array([i for i in range(len(free)) if i not in set(simplex_idx)],
                          dtype=np.int64)
 
@@ -426,9 +412,6 @@ def _sorted_columns(cols: Sequence[np.ndarray]) -> list[np.ndarray]:
 
 def _band_area(w1: np.ndarray, w2: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Area of {|w1 a + w2 b| <= c} in [-1,1]^2 for w1 >= w2 >= 0."""
-    w1 = np.asarray(w1, dtype=np.float64)
-    w2 = np.asarray(w2, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
     full = c >= w1 + w2
     strip = ~full & (c <= w1 - w2)
     mid = ~full & ~strip
@@ -676,7 +659,12 @@ def assemble_constant(n: int, config: AssemblyConfig | None = None) -> ConstantB
     if n not in (3, 4):
         raise ResourceLimit("assembly supported for n in {3, 4}")
     cfg = config or AssemblyConfig()
-    _check_beta_tol(cfg.beta_tol)  # before any work
+    # the tolerance and the volume source are checked before any work
+    _check_beta_tol(cfg.beta_tol)
+    if cfg.v_method not in ("exact", "mc"):
+        raise ContractViolation(f"unknown v_method {cfg.v_method!r}")
+    if cfg.v_method == "exact" and n != 3:
+        raise ContractViolation("exact volume unavailable for n >= 4")
     exponent = (1 << n) - n - 1
 
     if n == 3:
@@ -690,14 +678,10 @@ def assemble_constant(n: int, config: AssemblyConfig | None = None) -> ConstantB
         v_err = 3 * est.standard_error
 
     if cfg.v_method == "exact":
-        if v_exact is None:
-            raise ContractViolation("exact volume unavailable for n >= 4")
         alpha_v, alpha_err = v_value, 0.0
-    elif cfg.v_method == "mc":
+    else:
         est = polytope_volume(n, "mc", cfg.v_samples, cfg.seed + 1)
         alpha_v, alpha_err = est.value, 3 * est.standard_error
-    else:
-        raise ContractViolation(f"unknown v_method {cfg.v_method!r}")
 
     beta = beta_tilde(n, tol=cfg.beta_tol, samples=cfg.beta_samples, seed=cfg.seed)
     beta_err = beta.error_bound if isinstance(beta, QuadratureEstimate) \

@@ -133,10 +133,8 @@ def _multiplicity(y: Sequence[int]) -> int:
 def _sorted_tuples(n: int, T: int, shard: int, shards: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """Nondecreasing tuples in [1, T]^n whose maximum t satisfies
     t % shards == shard, with their permutation multiplicity."""
-    # iterate with the maximum outermost so the shard filter prunes early
-    for t in range(1, T + 1):
-        if t % shards != shard:
-            continue
+    # the maximum is outermost, so a shard steps over the other maxima
+    for t in range(shard or shards, T + 1, shards):
         for rest in combinations_with_replacement(range(1, t + 1), n - 1):
             y = rest + (t,)
             yield y, _multiplicity(y)

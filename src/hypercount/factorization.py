@@ -49,10 +49,6 @@ def dominated_by(h: int, l: int) -> bool:
     return h & l == h
 
 
-def comparable(h: int, l: int) -> bool:
-    return dominated_by(h, l) or dominated_by(l, h)
-
-
 @lru_cache(maxsize=None)
 def incomparable_pairs(n: int) -> tuple[tuple[int, int], ...]:
     """All unordered incomparable pairs (h, l), h < l, of indices in [1, 2^n - 1]."""
@@ -60,7 +56,7 @@ def incomparable_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((h, l)
                  for h in range(1, top)
                  for l in range(h + 1, top)
-                 if not comparable(h, l))
+                 if (h & l) not in (h, l))
 
 
 def dimension_of(z: Sequence[int]) -> int:

@@ -329,8 +329,6 @@ def count_zero_sum(d: Sequence[int], X: int) -> int:
     """#{alpha in Z^n : |alpha_i| <= X, sum d_i alpha_i = 0}."""
     if X < 0:
         raise ContractViolation("X must be >= 0")
-    if X == 0:
-        return 1
     return count_zero_sum_boxes(d, [X] * len(d))
 
 

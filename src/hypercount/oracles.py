@@ -37,15 +37,14 @@ def reduced_by_definition(z: tuple[int, ...], n: int) -> bool:
 
 def random_reduced(rng: np.random.Generator, n: int, zmax: int) -> tuple[int, ...]:
     """Uniformly fill indices in random order, restricted at each step to
-    values coprime to the already placed incomparable entries (1 always
-    qualifies, so the draw never blocks)."""
+    values coprime to the product of the already placed incomparable
+    entries (1 always qualifies, so the draw never blocks)."""
     top = (1 << n) - 1
     z = [1] * top
     for h in rng.permutation(top) + 1:
-        pool = [v for v in range(1, zmax + 1)
-                if all(math.gcd(v, z[l - 1]) == 1
-                       for l in range(1, top + 1)
-                       if z[l - 1] > 1 and incomparable(h, l, n))]
+        placed = math.prod(v for l, v in enumerate(z, start=1)
+                           if v > 1 and incomparable(h, l, n))
+        pool = [v for v in range(1, zmax + 1) if math.gcd(v, placed) == 1]
         z[h - 1] = int(pool[rng.integers(0, len(pool))])
     assert reduced_by_definition(tuple(z), n)
     return tuple(z)

@@ -14,7 +14,9 @@ Counts use canonical projective representatives (first nonzero
 coordinate 1).  Blocks of size one are single points and never
 constrain anything, so only blocks of size >= 2 are enumerated; the
 depth-first search assigns blocks superset-first, so every new block is
-maximally constrained by forced projections.
+solved from the projections of the blocks above it.  Couplings and
+fibers are found by brute force, and ``check_point`` re-derives every
+equation independently of the search.
 """
 
 from __future__ import annotations
@@ -48,20 +50,6 @@ def projective_points(k: int, p: int) -> list[tuple[int, ...]]:
     return pts
 
 
-def _proportional(big: tuple[int, ...], big_members: tuple[int, ...],
-                  small: tuple[int, ...], small_members: tuple[int, ...],
-                  p: int) -> bool:
-    """Cross-product compatibility of the projection of ``big`` onto the
-    members of the smaller block."""
-    pos = {j: i for i, j in enumerate(big_members)}
-    for a in range(len(small_members)):
-        for b in range(a + 1, len(small_members)):
-            k, m = small_members[a], small_members[b]
-            if (big[pos[k]] * small[b] - big[pos[m]] * small[a]) % p:
-                return False
-    return True
-
-
 def _block_order(n: int) -> list[int]:
     """Subsets of size >= 2, supersets first (descending index works:
     a strict superset is numerically larger)."""
@@ -71,10 +59,18 @@ def _block_order(n: int) -> list[int]:
 def _compatible_blocks(n: int, p: int,
                        cands: dict[int, list[tuple[int, ...]]]) -> Iterator[Blocks]:
     """Every choice of one block per h from its candidates ``cands[h]``
-    that satisfies the compatibility equations, as {h: block} maps."""
+    that satisfies the compatibility equations, as {h: block} maps.
+
+    The equations make block h proportional to the projection of each
+    strict superset onto the members of h: a nonzero projection, scaled
+    to lead 1, is the only block h can take, two different ones leave it
+    none, and only when every projection is zero does h range over
+    ``cands[h]``."""
     order = _block_order(n)
     mem = {h: members(h, n) for h in order}
-    supers = {h: [g for g in order if g != h and (g & h) == h] for h in order}
+    # (superset, positions of h's members inside it), strict supersets only
+    supers = {h: [(g, [mem[g].index(j) for j in mem[h]]) for g in order
+                  if g != h and (g & h) == h] for h in order}
     assigned: Blocks = {}
 
     def dfs(i: int) -> Iterator[Blocks]:
@@ -82,12 +78,19 @@ def _compatible_blocks(n: int, p: int,
             yield dict(assigned)
             return
         h = order[i]
-        for Y in cands[h]:
-            if all(_proportional(assigned[g], mem[g], Y, mem[h], p)
-                   for g in supers[h]):
-                assigned[h] = Y
-                yield from dfs(i + 1)
-                del assigned[h]
+        forced = set()
+        for g, pos in supers[h]:
+            proj = [assigned[g][k] for k in pos]
+            lead = next(filter(None, proj), 0)
+            if lead:
+                inv = pow(lead, -1, p)
+                forced.add(tuple(v * inv % p for v in proj))
+        choices = ([Y for Y in forced if len(forced) == 1 and Y in cands[h]]
+                   if forced else cands[h])
+        for Y in choices:
+            assigned[h] = Y
+            yield from dfs(i + 1)
+            del assigned[h]
 
     yield from dfs(0)
 

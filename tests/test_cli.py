@@ -300,6 +300,24 @@ def test_exit_code_resource_limit(capsys):
     assert code == 0 and json.loads(out)["reduced"]
 
 
+def test_factorize_refuses_integers_beyond_the_string_limit(capsys):
+    digits = sys.get_int_max_str_digits()
+    a = 10 ** (digits * 7 // 10)  # a and a + 1 are coprime, so the lcm is a (a + 1)
+    for y in (f"{a},{a + 1}", "7" * (digits + 700) + ",3"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "factorize", "--y", y)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert f"limited to {digits} digits" in err and len(err) <= 200
+
+
+def test_constant_without_an_exact_volume_exits_1_at_once(capsys):
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "constant", "--n", "4", "--mc-samples", "1e7")
+    assert time.perf_counter() - start < 1
+    assert code == 1 and "exact volume unavailable" in err
+
+
 def test_exit_code_verification_failure(capsys, monkeypatch):
     def fake_suite(*args, **kwargs):
         log = kwargs.get("log")

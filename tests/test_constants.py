@@ -346,6 +346,19 @@ def test_beta_tolerance_below_the_floor_is_refused_at_once(monkeypatch):
     assert 0 < est.value <= 8
 
 
+def test_volume_source_is_checked_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the volume-source check")
+
+    monkeypatch.setattr(constants, "polytope_volume", no_work)
+    monkeypatch.setattr(constants, "mc_mean", no_work)
+    with pytest.raises(ContractViolation, match="exact volume unavailable"):
+        assemble_constant(4, AssemblyConfig(v_samples=10 ** 9))
+    for n in (3, 4):
+        with pytest.raises(ContractViolation, match="unknown v_method"):
+            assemble_constant(n, AssemblyConfig(v_method="simplex"))
+
+
 def test_mu_infinity_scale_and_reproducibility():
     assert mu_infinity_scale(3) == 72
     assert mu_infinity_scale(4) == 768
@@ -386,6 +399,15 @@ def test_assemble_constant_mc_alpha_side():
     br = assemble_constant(3, cfg)
     assert br.discrepancy_within_budget
     assert br.relative_discrepancy < 5e-3
+
+
+def test_assemble_constant_n4_quick():
+    cfg = AssemblyConfig(prime_limit=10 ** 4, v_method="mc", v_samples=3 * 10 ** 5,
+                         beta_samples=3 * 10 ** 5, mu_samples=3 * 10 ** 5, seed=0)
+    br = assemble_constant(4, cfg)
+    assert br.V_exact is None
+    assert isinstance(br.beta, MCEstimate)
+    assert br.discrepancy_within_budget
 
 
 def test_budget_errors():
