@@ -91,6 +91,17 @@ def _parse_bound(text: str) -> tuple[float, Fraction]:
     return value, Fraction(text)
 
 
+def _seed(text: str) -> int:
+    """A Monte Carlo seed: numpy takes nonnegative integers only."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid seed {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="hypercount",
                      description="Point counts, constant factors, and "
@@ -118,7 +129,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--prime-limit", default="1e6")
     p.add_argument("--mc-samples", default="1e6")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--v-method", choices=("exact", "mc"), default="exact")
     p.add_argument("--beta-tol", type=float, default=1e-8)
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -127,7 +138,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--method", choices=("exact", "mc"), default="exact")
     p.add_argument("--samples", default="1e6")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("toric", help="brute-force point count over F_p")
@@ -141,7 +152,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--B", default="1e4")
     p.add_argument("--shards", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--heavy", action="store_true",
                    help="run the batteries at their full published sizes")
     p.add_argument("--format", choices=("json", "csv"), default="json")

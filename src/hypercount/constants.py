@@ -45,6 +45,17 @@ MC_BLOCK = 1 << 20  # samples per RNG stream
 _MC_ROWS = 1 << 14
 _PHILOX_WORDS = 4  # 64-bit outputs per Philox counter step, one per double
 
+# The largest prime limit or Monte Carlo sample count admitted.  On a
+# 2-vCPU x86 host the sieve to 1e8 took 2.2 s and 296 MB, so 1e9 needs
+# about 3 GB and 1e10 would need 30 GB; a sample costs 0.06-0.23 us per
+# integrand, so 1e9 samples run for minutes and 1e15 would run for years.
+SIZE_CAP = 10 ** 9
+
+
+def _check_size(value: int, name: str) -> None:
+    if value > SIZE_CAP:
+        raise ResourceLimit(f"{name} {value} exceeds the cap {SIZE_CAP:.0e}")
+
 
 # ------------------------------ polynomials ------------------------------
 
@@ -107,21 +118,16 @@ def local_factor_from_graph(n: int) -> list[int]:
     return b
 
 
-def edge_count(n: int) -> int:
-    """Number of incomparable pairs on [1, 2^n - 2]."""
-    return len(incomparable_pairs(n))
-
-
 # ------------------------------ zeta values ------------------------------
 
-def zeta_value(n: int, tol: float = 1e-12) -> tuple[float, float]:
+def zeta_value(n: int) -> tuple[float, float]:
     """(value, error bound) of zeta(n) by direct summation with the
     integral midpoint correction for the tail; terms are chosen so the
-    bracket width stays below ``tol``."""
+    bracket width stays below 1e-12."""
     if n < 2:
         raise ContractViolation("n must be >= 2")
     # bracket width is about terms^(-n), so size the cutoff from that
-    terms = max(1000, math.ceil(1.1 * (1.0 / (2 * tol)) ** (1.0 / n)) + 1)
+    terms = max(1000, math.ceil(1.1 * (1.0 / 2e-12) ** (1.0 / n)) + 1)
     s = math.fsum((m ** -n for m in range(1, terms + 1)))
     hi = terms ** (1 - n) / (n - 1)
     lo = (terms + 1) ** (1 - n) / (n - 1)
@@ -182,6 +188,7 @@ def euler_product(n: int, prime_limit: int) -> EulerProduct:
     """
     if prime_limit < 2:
         raise ContractViolation("prime_limit must be >= 2")
+    _check_size(prime_limit, "prime limit")
     q = _density_poly(n)
     if q[0] != 1 or q[1] != 0:
         raise AssertionError("density polynomial must start 1 + 0*X")
@@ -352,6 +359,7 @@ def polytope_volume(n: int, method: str = "exact",
         raise ContractViolation(f"unknown method {method!r}")
     if n not in (3, 4):
         raise ResourceLimit("Monte Carlo volume supported for n in {3, 4}")
+    _check_size(samples, "sample count")
     free = free_indices(n)
     pos = {h: i for i, h in enumerate(free)}
     rows = [(np.array([pos[h] for h in coeffs], dtype=np.int64),
@@ -523,12 +531,13 @@ def _check_beta_tol(tol: float) -> None:
 
 
 def _adaptive_square(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                     tol: float, max_depth: int = 26) -> QuadratureEstimate:
+                     tol: float) -> QuadratureEstimate:
     """Adaptive tensor-Simpson integration of f over [0,1]^2.
 
     Cells whose coarse/refined difference exceeds their share of the
-    tolerance are split; the conservative error |fine - coarse| is
-    accumulated, so the reported bound dominates the subdivision error.
+    tolerance are split, for at most 26 halvings; the conservative error
+    |fine - coarse| is accumulated, so the reported bound dominates the
+    subdivision error.
     """
     nodes = np.array([0.0, 0.5, 1.0])
     wts = np.array([1.0, 4.0, 1.0]) / 6.0
@@ -546,14 +555,14 @@ def _adaptive_square(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     y0 = np.array([0.0])
     h = np.array([1.0])
     coarse = simpson(x0, y0, h)
-    for depth in range(max_depth):
+    for depth in range(26):
         h2 = h / 2
         cells = [(x, y, h2, simpson(x, y, h2))
                  for x in (x0, x0 + h2) for y in (y0, y0 + h2)]
         fine = sum((s for *_, s in cells), np.zeros_like(coarse))
         err = np.abs(fine - coarse)
         area = h * h
-        keep = (err <= tol * area) | (depth == max_depth - 1)
+        keep = (err <= tol * area) | (depth == 25)
         total += float(fine[keep].sum())
         err_total += float(err[keep].sum())
         if keep.all():
@@ -659,8 +668,11 @@ def assemble_constant(n: int, config: AssemblyConfig | None = None) -> ConstantB
     if n not in (3, 4):
         raise ResourceLimit("assembly supported for n in {3, 4}")
     cfg = config or AssemblyConfig()
-    # the tolerance and the volume source are checked before any work
+    # the tolerance, the sizes and the volume source are checked before any work
     _check_beta_tol(cfg.beta_tol)
+    _check_size(cfg.prime_limit, "prime limit")
+    for samples in (cfg.v_samples, cfg.beta_samples, cfg.mu_samples):
+        _check_size(samples, "sample count")
     if cfg.v_method not in ("exact", "mc"):
         raise ContractViolation(f"unknown v_method {cfg.v_method!r}")
     if cfg.v_method == "exact" and n != 3:

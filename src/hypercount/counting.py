@@ -50,16 +50,14 @@ _WORK_BUDGET = 10 ** 10
 _CLOSED_FORM_CELLS = 200
 
 # The torsor search steps through batches of at most 12 * _TORSOR_CAP
-# entries (rows of 2n int32 columns), expands its leaves into at most
-# _TORSOR_CAP kernel rows at a time and merges those in a dict of at most
-# 8 * _TORSOR_CAP keys.  Peak RSS grows with the batches and time falls as
-# they grow (every step costs a fixed number of numpy calls), and as the
-# dict grows (each row flush counts the rows that recur after it again).
+# entries (rows of 2n int32 columns) and expands its leaves into at most
+# _TORSOR_CAP kernel rows at a time.  Peak RSS grows with the batches and
+# time falls as they grow (every step costs a fixed number of numpy calls).
 # Measured at n = 3, B = 2e5 in one process after direct and moebius on a
 # 2-vCPU x86 host: 33.5 MB with 8 * _TORSOR_CAP entries a batch, 33.6 MB
 # with 12, 34.0 MB with 16 and 33.2 MB with the recursive search this
 # replaced; batches of 8 made the tests' tiny caps about 0.3 s slower.
-# The dict holds all 8,850 distinct kernel rows there.
+# The kernel rows are not capped: each shard merges them in one dict.
 _TORSOR_CAP = 1 << 11
 
 
@@ -241,10 +239,13 @@ def _torsor_shard(n: int, X: int, shard: int, shards: int) -> int:
     symmetric in j.  So the last step turns its rows into leaves, Z and
     the sorted pairs, and equal leaves merge with their multiplicity.
     The distinct leaves expand over squarefree m into rows of sorted
-    (coeff, limit) pairs, at most _TORSOR_CAP rows at a time; equal rows
-    add up their weights in a dict keyed by the row's bytes and flushed
-    at 8 * _TORSOR_CAP keys, and each distinct row with a nonzero weight
-    is counted once by count_zero_sum_boxes.
+    (coeff, limit) pairs, at most _TORSOR_CAP rows at a time.  Equal rows
+    add up their weights in one dict per shard keyed by the row's bytes,
+    and after the search each distinct row with a nonzero weight is
+    counted once by count_zero_sum_boxes.  The dict takes about 128 B a
+    row, and at n = 3 the rows grow about as X^2.3: 837,888 rows at
+    X = 400 peaked at 140 MB, and the budget's top, X = 668, would hold
+    about 2.8M.
 
     Every entry of a search row is <= X < 2^15, so rows are int32, and
     lcm(y) <= X^n.  Every field of a leaf or kernel row is packed into
@@ -269,16 +270,6 @@ def _torsor_shard(n: int, X: int, shard: int, shards: int) -> int:
     rows: dict[bytes, int] = {}  # n sorted (coeff << w | limit), 0 if no limit
     row_type = np.dtype((np.void, 8 * n))
     unpack = struct.Struct(f"={n}q").unpack
-    total = 0
-
-    def flush_rows() -> None:
-        nonlocal total
-        for key, wt in rows.items():
-            if wt:  # rows whose weights cancel drop out
-                active = [p for p in unpack(key) if p]
-                total += wt * count_zero_sum_boxes([p >> w for p in active],
-                                                   [p & low for p in active])
-        rows.clear()
 
     def expand(leaves: np.ndarray, mult: np.ndarray) -> None:
         Z, pairs = leaves[:, 0], leaves[:, 1:]
@@ -298,8 +289,6 @@ def _torsor_shard(n: int, X: int, shard: int, shards: int) -> int:
             nz = wts != 0
             for key, wt in zip(keys[nz].view(row_type).ravel().tolist(), wts[nz].tolist()):
                 rows[key] = rows.get(key, 0) + wt
-                if len(rows) >= 8 * _TORSOR_CAP:
-                    flush_rows()
             lo += k
 
     stack = [(0, np.ones((1, width), dtype=np.int32))]
@@ -332,7 +321,12 @@ def _torsor_shard(n: int, X: int, shard: int, shards: int) -> int:
         pairs.sort(axis=1)
         leaves = np.column_stack([X // y.max(axis=1), pairs])
         expand(*_distinct_rows(leaves, np.ones(len(z), dtype=np.int64)))
-    flush_rows()
+    total = 0
+    for key, wt in rows.items():
+        if wt:  # rows whose weights cancel drop out
+            active = [p for p in unpack(key) if p]
+            total += wt * count_zero_sum_boxes([p >> w for p in active],
+                                               [p & low for p in active])
     return total
 
 

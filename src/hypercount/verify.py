@@ -217,7 +217,7 @@ def check_local_factor_graph() -> CheckResult:
             prod[i + j] += c * d
     ok = (b == [1, 0, -9, 16, -9, 0, 1] == prod and sum(b) == 0
           and b[2] == -(2 ** 2 * (2 ** 3 + 1)) + 3 ** 3
-          and b[2] == -constants.edge_count(3))
+          and b[2] == -len(factorization.incomparable_pairs(3)))
     return CheckResult("graph expansion of the local factor (n = 3)",
                        ok, f"b = {b}")
 

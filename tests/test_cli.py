@@ -187,6 +187,31 @@ def test_non_finite_integer_parameter_is_a_usage_error(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "lattice"),
+    ("constant",),
+    ("polytope", "--method", "mc"),
+])
+def test_negative_seed_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+    assert code == 1 and out == "" and "usage error" in err and "seed" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("constant", "--prime-limit", "1e13"),
+    ("constant", "--mc-samples", "1e15"),
+    ("constant", "--n", "4", "--v-method", "mc", "--mc-samples", "1e15"),
+    ("polytope", "--method", "mc", "--samples", "1e15"),
+    ("polytope", "--n", "4", "--method", "mc", "--samples", "1e15"),
+])
+def test_oversize_prime_limit_or_sample_count_exits_2_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and "exceeds the cap" in err
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-8"])
 def test_bad_beta_tolerance_is_a_usage_error(capsys, tol):
     code, out, err = run_cli(capsys, "constant", f"--beta-tol={tol}")

@@ -346,6 +346,26 @@ def test_beta_tolerance_below_the_floor_is_refused_at_once(monkeypatch):
     assert 0 < est.value <= 8
 
 
+def test_oversize_prime_limit_or_sample_count_is_refused_at_once(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the size check")
+
+    monkeypatch.setattr(constants, "primes_up_to", no_work)
+    monkeypatch.setattr(constants, "mc_mean", no_work)
+    big = constants.SIZE_CAP * 10 ** 6
+    with pytest.raises(ResourceLimit, match="prime limit"):
+        euler_product(3, big)
+    for n in (3, 4):
+        with pytest.raises(ResourceLimit, match="sample count"):
+            polytope_volume(n, "mc", big)
+    for name in ("polytope_volume", "_adaptive_square", "euler_product"):
+        monkeypatch.setattr(constants, name, no_work)
+    for field in ("prime_limit", "v_samples", "beta_samples", "mu_samples"):
+        for n in (3, 4):
+            with pytest.raises(ResourceLimit, match="exceeds the cap"):
+                assemble_constant(n, AssemblyConfig(v_method="mc", **{field: big}))
+
+
 def test_volume_source_is_checked_before_any_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the volume-source check")

@@ -165,10 +165,20 @@ def test_torsor_default_cap_counts():
 @pytest.mark.parametrize("cap", [1, 2, 3])
 @pytest.mark.parametrize("n, B, expect", _FLUSH_CASES)
 def test_torsor_counts_survive_tiny_flush_caps(monkeypatch, cap, n, B, expect):
-    # a cap this small flushes the leaf dict at every leaf and fires row
-    # flushes from inside each leaf flush
+    # a cap this small steps through search batches of a few rows and
+    # expands a few kernel rows at a time; a row that recurs across the
+    # expansions still reaches the kernel once
+    calls = []
+    kernel = counting.count_zero_sum_boxes
+
+    def spy(coeffs, limits):
+        calls.append((tuple(coeffs), tuple(limits)))
+        return kernel(coeffs, limits)
+
     monkeypatch.setattr(counting, "_TORSOR_CAP", cap)
+    monkeypatch.setattr(counting, "count_zero_sum_boxes", spy)
     assert count_points(n, B, "torsor").count == expect
+    assert len(calls) == len(set(calls))
 
 
 def test_oversize_count_is_refused_before_it_starts():
