@@ -18,21 +18,19 @@ reduce counting to positive y, contributing the factor 2^{n-1}.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
-import struct
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from typing import Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .errors import ContractViolation, ResourceLimit
 from .factorization import _weight_levels
-from .lattice import count_zero_sum, count_zero_sum_boxes
+from .lattice import count_zero_sum_batch
 
 WORKERS_ENV = "HYPERCOUNT_WORKERS"
 
@@ -43,11 +41,21 @@ METHODS = ("direct", "moebius", "torsor")
 # than five to ten minutes (at 0.03 us a cell, see below)
 _WORK_BUDGET = 10 ** 10
 
-# An n = 3 box closes in floor sums, so an n = 3 count makes one closed-form
-# call per sorted tuple instead of enumerating cells.  Measured on a 2-vCPU
-# x86 host: direct at n = 3, B = 1e6 spends about 6.8 us a tuple and the
-# numpy path at n = 4 about 0.03 us a cell, so a call costs about 200 cells.
+# An n = 3 box closes in floor sums, so an n = 3 count takes one closed-form
+# triple row per sorted tuple (and divisor) instead of enumerating cells.
+# The price of 200 cells a tuple dates from the per-box kernel: measured on
+# a 2-vCPU x86 host, direct at n = 3, B = 1e6 spent about 6.8 us a tuple
+# and the numpy path at n = 4 about 0.03 us a cell.  The batched kernel
+# takes about 2.1 us a tuple there (0.35 s for 171,700 tuples).  The price
+# stays: what bounds the largest admitted n = 3 count is the torsor's row
+# dict, about 0.4 GB at the top of the budget, not time.
 _CLOSED_FORM_CELLS = 200
+
+# direct and moebius build the tuples of a shard at most _BOX_ROWS at a
+# time and send their divisor rows to the batched kernel at most _BOX_ROWS
+# a batch; larger batches raise the peak RSS and save no time (see
+# lattice._CHUNK)
+_BOX_ROWS = 1 << 11
 
 # The torsor search steps through batches of at most 12 * _TORSOR_CAP
 # entries (rows of 2n int32 columns) and expands its leaves into at most
@@ -57,7 +65,9 @@ _CLOSED_FORM_CELLS = 200
 # 2-vCPU x86 host: 33.5 MB with 8 * _TORSOR_CAP entries a batch, 33.6 MB
 # with 12, 34.0 MB with 16 and 33.2 MB with the recursive search this
 # replaced; batches of 8 made the tests' tiny caps about 0.3 s slower.
-# The kernel rows are not capped: each shard merges them in one dict.
+# The kernel rows are not capped: each shard merges them in one dict, and
+# sends it to the batched kernel _TORSOR_CAP rows at a time once its search
+# ends.
 _TORSOR_CAP = 1 << 11
 
 
@@ -115,64 +125,105 @@ def squarefree_divisors(m: int) -> list[tuple[int, int]]:
 
 # --------------------------- tuple enumeration ---------------------------
 
-def _multiplicity(y: Sequence[int]) -> int:
-    """Number of distinct permutations of the multiset y (y sorted)."""
-    total = math.factorial(len(y))
-    run = 1
-    for i in range(1, len(y)):
-        if y[i] == y[i - 1]:
-            run += 1
-            total //= run
-        else:
-            run = 1
-    return total
+def _sorted_table(k: int, T: int) -> np.ndarray:
+    """Every nondecreasing k-tuple over [1, T] (T >= 1) as an int64 row,
+    ordered by its last, largest entry, so that the tuples with entries
+    <= t are the first C(t + k - 1, k) rows."""
+    rows = np.zeros((1, 0), dtype=np.int64)
+    for i in range(k):  # rows holds the i-tuples
+        rows = np.concatenate([
+            np.column_stack([rows[:math.comb(t + i - 1, i)],
+                             np.full(math.comb(t + i - 1, i), t)])
+            for t in range(1, T + 1)])
+    return rows
 
 
-def _sorted_tuples(n: int, T: int, shard: int, shards: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Nondecreasing tuples in [1, T]^n whose maximum t satisfies
-    t % shards == shard, with their permutation multiplicity."""
+def _tuple_chunks(n: int, T: int, shard: int, shards: int) -> Iterator[np.ndarray]:
+    """The nondecreasing tuples in [1, T]^n whose maximum t satisfies
+    t % shards == shard, as int64 rows, _BOX_ROWS at a time: the tuples
+    of consecutive t (the maximum last) are joined up to the cap, and
+    those of one t beyond it are split."""
+    heads = _sorted_table(n - 1, T)
+    pieces, rows = [], 0
     # the maximum is outermost, so a shard steps over the other maxima
     for t in range(shard or shards, T + 1, shards):
-        for rest in combinations_with_replacement(range(1, t + 1), n - 1):
-            y = rest + (t,)
-            yield y, _multiplicity(y)
+        count = math.comb(t + n - 2, n - 1)
+        for lo in range(0, count, _BOX_ROWS):
+            part = heads[lo:min(count, lo + _BOX_ROWS)]
+            if rows + len(part) > _BOX_ROWS:
+                yield np.concatenate(pieces)
+                pieces, rows = [], 0
+            pieces.append(np.column_stack([part, np.full(len(part), t)]))
+            rows += len(part)
+    if pieces:
+        yield np.concatenate(pieces)
 
 
-def _coeffs_of(y: Sequence[int]) -> tuple[int, ...]:
-    """d_i = lcm(y) / y_i, the coefficients of the ambient linear form."""
-    L = math.lcm(*y)
-    return tuple(L // v for v in y)
+def _multiplicities(y: np.ndarray) -> np.ndarray:
+    """Number of distinct permutations of each sorted row of y, built up
+    over its prefixes: appending an entry that makes a run of r equal
+    entries multiplies the count by (length / r).  Every intermediate is
+    at most r times a count, so it fits int64 whenever the counts do:
+    they are at most n!, which fits for n <= 20, and the work budget
+    admits n > 14 only with X = 1, where every count is 1."""
+    total = np.ones(len(y), dtype=np.int64)
+    run = np.ones(len(y), dtype=np.int64)
+    for i in range(1, y.shape[1]):
+        run = np.where(y[:, i] == y[:, i - 1], run + 1, 1)
+        total = total * (i + 1) // run
+    return total
 
 
 # ------------------------------- pipelines -------------------------------
 
-def _direct_shard(n: int, X: int, shard: int, shards: int) -> int:
+def _tuple_boxes(n: int, X: int, shard: int, shards: int, table: np.ndarray,
+                 span: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]) -> int:
+    """Sum over the shard's sorted tuples y of mult(y) * sign * A(d, X // k),
+    where d_i = lcm(y) / y_i, A(d, T) = #{alpha : |alpha_i| <= T,
+    sum d_i alpha_i = 0}, and (k, sign) runs over the rows
+    table[start:start + size] for (start, size) = span(y) (size >= 1).
+    The rows go to the kernel at most _BOX_ROWS a batch."""
     total = 0
-    for y, mult in _sorted_tuples(n, X, shard, shards):
-        d = _coeffs_of(y)
-        g = math.gcd(*y)
-        if g == 1:
-            total += mult * count_zero_sum(d, X)
-        else:
-            sub = 0
-            for k, sign in squarefree_divisors(g):
-                sub += sign * count_zero_sum(d, X // k)
-            total += mult * sub
+    for y in _tuple_chunks(n, X, shard, shards):
+        start, size = span(y)
+        d = np.lcm.reduce(y, axis=1)[:, None] // y
+        mult = _multiplicities(y)
+        lo = 0
+        while lo < len(y):  # at most _BOX_ROWS rows at a time, or one tuple's
+            taken, idx, rank = _spread(size[lo:], _BOX_ROWS)
+            idx += lo
+            k, sign = table[start[idx] + rank].T
+            total += count_zero_sum_batch(d[idx], np.repeat((X // k)[:, None], n, axis=1),
+                                          mult[idx] * sign)
+            lo += taken
     return total
+
+
+def _direct_shard(n: int, X: int, shard: int, shards: int) -> int:
+    """Primitive x per tuple: Moebius inversion over the squarefree
+    divisors k of gcd(y), each a box with limit X // k."""
+    divisors = [[]] + [squarefree_divisors(g) for g in range(1, X + 1)]
+    size = np.array([len(row) for row in divisors])
+    start = size.cumsum() - size
+    table = np.array([pair for row in divisors for pair in row], dtype=np.int64)
+
+    def span(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        g = np.gcd.reduce(y, axis=1)
+        return start[g], size[g]
+
+    return _tuple_boxes(n, X, shard, shards, table, span)
 
 
 def _moebius_shard(n: int, X: int, shard: int, shards: int) -> int:
+    """Sum over squarefree k of mu(k) times the unrestricted count with
+    limit T = X // k, whose tuples are those with maximum t <= T: for a
+    tuple with maximum t, the squarefree k <= X // t."""
     mu = mobius_sieve(X)
-    total = 0
-    for k in range(1, X + 1):
-        if not mu[k]:
-            continue
-        T = X // k
-        sub = 0
-        for y, mult in _sorted_tuples(n, T, shard, shards):
-            sub += mult * count_zero_sum(_coeffs_of(y), T)
-        total += int(mu[k]) * sub
-    return total
+    sqf = np.flatnonzero(mu)  # the squarefree k <= X, ascending
+    upto = np.cumsum(mu != 0)  # upto[T] = #{squarefree k <= T}
+    table = np.column_stack([sqf, mu[sqf]])
+    return _tuple_boxes(n, X, shard, shards, table, lambda y: (
+        np.zeros(len(y), dtype=np.int64), upto[X // y[:, -1]]))
 
 
 def _distinct_rows(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -241,8 +292,9 @@ def _torsor_shard(n: int, X: int, shard: int, shards: int) -> int:
     The distinct leaves expand over squarefree m into rows of sorted
     (coeff, limit) pairs, at most _TORSOR_CAP rows at a time.  Equal rows
     add up their weights in one dict per shard keyed by the row's bytes,
-    and after the search each distinct row with a nonzero weight is
-    counted once by count_zero_sum_boxes.  The dict takes about 128 B a
+    and after the search the distinct rows go to count_zero_sum_batch,
+    _TORSOR_CAP rows a batch, so each is counted once (rows whose
+    weights cancel drop out there).  The dict takes about 128 B a
     row, and at n = 3 the rows grow about as X^2.3: 837,888 rows at
     X = 400 peaked at 140 MB, and the budget's top, X = 668, would hold
     about 2.8M.
@@ -269,7 +321,6 @@ def _torsor_shard(n: int, X: int, shard: int, shards: int) -> int:
     sqf_upto = np.cumsum(mu != 0)  # sqf_upto[Z] = #{squarefree m <= Z}
     rows: dict[bytes, int] = {}  # n sorted (coeff << w | limit), 0 if no limit
     row_type = np.dtype((np.void, 8 * n))
-    unpack = struct.Struct(f"={n}q").unpack
 
     def expand(leaves: np.ndarray, mult: np.ndarray) -> None:
         Z, pairs = leaves[:, 0], leaves[:, 1:]
@@ -322,11 +373,11 @@ def _torsor_shard(n: int, X: int, shard: int, shards: int) -> int:
         leaves = np.column_stack([X // y.max(axis=1), pairs])
         expand(*_distinct_rows(leaves, np.ones(len(z), dtype=np.int64)))
     total = 0
-    for key, wt in rows.items():
-        if wt:  # rows whose weights cancel drop out
-            active = [p for p in unpack(key) if p]
-            total += wt * count_zero_sum_boxes([p >> w for p in active],
-                                               [p & low for p in active])
+    items = iter(rows.items())
+    while part := list(itertools.islice(items, _TORSOR_CAP)):
+        keys, wts = zip(*part)
+        packed = np.frombuffer(b"".join(keys), dtype=np.int64).reshape(-1, n)
+        total += count_zero_sum_batch(packed >> w, packed & low, np.array(wts))
     return total
 
 
@@ -368,10 +419,19 @@ def _env_workers() -> int:
     return workers
 
 
+def _pool(workers: int):
+    """A pool of ``workers`` shard processes.  The import lives here:
+    loading multiprocessing costs tens of milliseconds that a serial
+    count never needs."""
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def _work_estimate(n: int, X: int) -> int:
     """Cells a count enumerates, roughly: C(X+n-1, n) sorted y tuples,
-    each a kernel call over (2X+1)^(n-2) outer cells, or at n = 3 one
-    closed-form call worth _CLOSED_FORM_CELLS cells."""
+    each a box of (2X+1)^(n-2) cells outside its two largest
+    coordinates, or at n = 3 one closed-form row priced at
+    _CLOSED_FORM_CELLS cells."""
     tuples = math.comb(X + n - 1, n)
     if n == 3:
         return tuples * _CLOSED_FORM_CELLS
@@ -413,7 +473,7 @@ def count_points(n: int, B: float | Fraction, method: str = "direct",
     workers = min(_env_workers(), len(tasks), os.cpu_count() or 1)
     t0 = time.perf_counter()
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _pool(workers) as pool:
             parts = list(pool.map(_run_shard, tasks))
     else:
         parts = [_run_shard(t) for t in tasks]

@@ -20,6 +20,15 @@ Python-int steps and a box with three active coordinates needs no
 enumeration at all.  While int64 suffices, boxes with four or more
 active coordinates instead enumerate all but their two largest
 coordinates in numpy, in chunks of at most ``_CHUNK`` cells.
+
+The counting pipelines count many boxes at once, with weights, through
+``count_zero_sum_batch``.  It runs the same closed form over int64
+arrays (``_triple_count_vec``, on array floor sums and modular
+inverses): every box closes its three largest coordinates and repeats
+once per cell of its other coordinates, half of that grid by symmetry,
+at most ``_CHUNK`` triple rows at a time.  Boxes past its int64 guard
+take the exact path of ``count_zero_sum_boxes``, which stays the
+single-box route and the reference the batch is tested against.
 """
 
 from __future__ import annotations
@@ -249,7 +258,14 @@ def _pair_count_vec(a: int, La: int, b: int, Lb: int, s: np.ndarray) -> np.ndarr
     return np.where(ok & (hi >= lo), cnt, 0)
 
 
-_CHUNK = 1 << 22  # flattened outer-grid cells per vectorized batch
+# Flattened outer-grid cells, or triple rows of count_zero_sum_batch, per
+# vectorized batch.  A triple row holds about 450 B at its peak, so a batch
+# stays near 1 MB.  Measured on a 2-vCPU x86 host, the torsor count at
+# n = 4, B = 1.6e5 alone peaked at 33.3, 33.9, 35.4 and 37.8 MB with
+# batches of 2^10, 2^11, 2^12 and 2^13 rows (34.0 MB with the per-box
+# kernel), while the counts at the benchmark sizes took the same time
+# within the noise.
+_CHUNK = 1 << 11
 
 
 def _outer_sum_chunks(outer: list[tuple[int, int]], base: int) -> "Iterator[np.ndarray]":
@@ -323,6 +339,171 @@ def count_zero_sum_boxes(coeffs: Sequence[int], limits: Sequence[int]) -> int:
     (Lb, b), (La, a) = active[-2:]
     return sum(int(_pair_count_vec(a, La, b, Lb, s).sum())
                for s in _outer_sum_chunks(active[:-2], 0))
+
+
+# --------------------------- batched closed form ---------------------------
+
+def _floor_sum_vec(n: np.ndarray, m: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``_floor_sum`` over int64 arrays, one sum per row: the same steps,
+    with each row leaving the loop once it finishes."""
+    total = np.zeros(len(n), dtype=np.int64)
+    idx = np.arange(len(n))
+    while True:
+        qa, a = np.divmod(a, m)
+        qb, b = np.divmod(b, m)
+        total[idx] += (n * (n - 1) >> 1) * qa + n * qb
+        top = a * n + b
+        go = top >= m
+        idx, m, a, top = idx[go], m[go], a[go], top[go]
+        if not len(idx):
+            return total
+        n, b = np.divmod(top, m)
+        m, a = a, m
+
+
+def _inverse_vec(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x^-1 mod m over int64 arrays with gcd(x, m) = 1 (0 where m = 1), by
+    the extended Euclidean algorithm, each row leaving once it finishes."""
+    out = np.zeros(len(m), dtype=np.int64)
+    idx = np.arange(len(m))
+    r0, r1 = m, x % m  # invariant: r_i == t_i x (mod m)
+    t0, t1 = np.zeros_like(m), np.ones_like(m)
+    while len(idx):
+        done = r1 == 0  # r0 = gcd = 1
+        if done.any():
+            out[idx[done]] = t0[done] % m[idx[done]]
+            go = ~done
+            idx, r0, r1, t0, t1 = idx[go], r0[go], r1[go], t0[go], t1[go]
+            continue
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    return out
+
+
+def _triple_count_vec(a, La, b, Lb, c, Lc, s) -> np.ndarray:
+    """``_triple_count`` over int64 arrays, one count per row, for rows
+    within the guard of ``count_zero_sum_batch``; the four floor sums of
+    every row run as one ``_floor_sum_vec``."""
+    ok = s % np.gcd(np.gcd(a, b), c) == 0
+    if not ok.all():
+        out = np.zeros(len(s), dtype=np.int64)
+        out[ok] = _triple_count_vec(*(v[ok] for v in (a, La, b, Lb, c, Lc, s)))
+        return out
+    sums = _floor_sum_vec(*_triple_line_sums(a, La, b, Lb, c, Lc, s)).reshape(4, -1)
+    return sums[0] + sums[1] - sums[2] - sums[3]
+
+
+def _triple_line_sums(a, La, b, Lb, c, Lc, s) -> tuple[np.ndarray, ...]:
+    """The arguments (n, m, a, b) of the four floor sums of
+    ``_triple_count``, stacked, for rows where gcd(a, b, c) divides s.
+    The same steps, with the w range clipped to [-Lc - 1, Lc + 1] so every
+    t stays small, and the split points clipped into [t0 - 1, t1 + 1].
+    Only the stacked arguments outlive the call, which halves the
+    memory of a batch."""
+    g = np.gcd(a, b)
+    g1 = np.gcd(g, c)
+    gp, cq, bq = g // g1, c // g1, b // g
+    inv_c, inv = _inverse_vec(np.concatenate([cq % gp, a // g % bq]),
+                              np.concatenate([gp, bq])).reshape(2, -1)
+    w0 = s // g1 % gp * inv_c % gp
+    E = s - c * w0  # s - c w = E - D t, and g divides E
+    D = c * gp
+    sigma = E // g % bq * inv % bq
+    alpha = -(cq % bq) * inv % bq
+    R = a * La + b * Lb
+    w_lo = np.clip(-((R - s) // c), -Lc, Lc + 1)
+    w_hi = np.clip((s + R) // c, -Lc - 1, Lc)
+    t0 = -((w0 - w_lo) // gp)
+    t1 = (w_hi - w0) // gp
+    T_hi = np.clip((E + b * Lb - a * La) // D, t0 - 1, t1)
+    T_lo = np.clip(-((b * Lb - a * La - E) // D), t0, t1 + 1)
+    slope = -(D + a * alpha)
+    M = a * bq
+    lo = np.concatenate([t0, T_hi + 1, t0, T_lo])
+    A = np.concatenate([-alpha, slope, slope, -alpha])
+    B = np.concatenate([La - sigma, E + b * Lb - a * sigma,
+                        E - b * Lb - 1 - a * sigma, -La - 1 - sigma])
+    n = np.maximum(np.concatenate([T_hi, t1, T_lo - 1, t1]) - lo + 1, 0)
+    return n, np.concatenate([bq, M, M, bq]), A, A * lo + B
+
+
+def _fits_int64_vec(C: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """Rows of ``count_zero_sum_batch`` (sorted by limit, padded to three
+    pairs) whose triple rows keep every intermediate within int64.
+
+    Let K be the largest of the three closed coefficients, Lc the
+    smallest of their limits, S = sum c_i L_i over the row and
+    G = (K^2 + S + (K + Lc)(Lc + 3))(2 Lc + 4).  A product of two closed
+    coefficients is below K^2 and |s| <= S; every t has |t| <= Lc + 3, a
+    floor sum has at most 2 Lc + 3 terms, its slope over its modulus is
+    at most K + 2 in size, and its other argument is at most
+    2 (K^2 + S)(Lc + 4) + 1.  So every intermediate, the running totals of
+    the floor sums included, stays below about 4 G, and G < 2^60, checked
+    in float64, keeps them below 2^63."""
+    K = C[:, -3:].max(axis=1).astype(np.float64)
+    S = (C.astype(np.float64) * L).sum(axis=1)
+    Lc = L[:, -3].astype(np.float64)
+    return (K * K + S + (K + Lc) * (Lc + 3)) * (2 * Lc + 4) < _VEC_LIMIT
+
+
+def count_zero_sum_batch(coeffs: np.ndarray, limits: np.ndarray,
+                         weights: np.ndarray) -> int:
+    """sum_r weights[r] * count_zero_sum_boxes(coeffs[r], limits[r]) over
+    the rows of int64 arrays of shape (rows, m), exactly; |weights| must
+    stay below 2^62.
+
+    A coefficient must be >= 1 wherever its limit is > 0; a pair with
+    limit 0 is inactive and its coefficient is ignored.  Each row is
+    sorted by limit and padded to three pairs with inactive ones.  Its
+    three largest boxes close in ``_triple_count_vec``, and its other
+    coordinates are enumerated, one triple row per cell of their grid.
+    The triple count is even in s, and the cells w and -w of a grid give
+    opposite s, so only the first half of each grid is taken, doubled,
+    and its centre once.  Triple rows go through the kernel at most
+    ``_CHUNK`` at a time, split across rows and within them.  Rows past
+    the int64 guard (``_fits_int64_vec``) go one at a time to the exact
+    ``_exact_count``."""
+    C = np.asarray(coeffs, dtype=np.int64)
+    L = np.asarray(limits, dtype=np.int64)
+    wt = np.asarray(weights, dtype=np.int64)
+    if C.ndim != 2 or C.shape != L.shape or wt.shape != C.shape[:1]:
+        raise ContractViolation("need coefficient and limit rows of one shape "
+                                "and one weight per row")
+    if (L < 0).any() or (C[L > 0] < 1).any():
+        raise ContractViolation("coefficients must be >= 1 and limits >= 0")
+    pad = max(0, 3 - C.shape[1])
+    order = np.argsort(L, axis=1, kind="stable")
+    L = np.pad(np.take_along_axis(L, order, axis=1), ((0, 0), (pad, 0)))
+    C = np.pad(np.where(L[:, pad:] > 0, np.take_along_axis(C, order, axis=1), 1),
+               ((0, 0), (pad, 0)), constant_values=1)
+    live, fits = wt != 0, _fits_int64_vec(C, L)
+    total = 0
+    for Cr, Lr, w in zip(*(v[live & ~fits].tolist() for v in (C, L, wt))):
+        total += w * _exact_count(sorted((l, c) for l, c in zip(Lr, Cr) if l > 0))
+    C, L, wt = C[live & fits], L[live & fits], wt[live & fits]
+    radix = 2 * L[:, :-3] + 1  # the grid of the outer coordinates
+    size = radix.prod(axis=1)
+    end = ((size + 1) >> 1).cumsum()  # first half and centre of each grid
+    cells = int(end[-1]) if len(end) else 0
+    for lo in range(0, cells, _CHUNK):
+        cell = np.arange(lo, min(lo + _CHUNK, cells))
+        row = end.searchsorted(cell, "right")
+        rank = cell - end[row] + ((size[row] + 1) >> 1)
+        w = wt[row] << (2 * rank + 1 < size[row])  # doubled but at the centre
+        Cr, Lr = C[row], L[row]
+        s = np.zeros(len(row), dtype=np.int64)
+        for j in range(radix.shape[1] - 1, -1, -1):
+            rank, digit = np.divmod(rank, radix[row, j])
+            s -= Cr[:, j] * (digit - Lr[:, j])
+        counts = _triple_count_vec(Cr[:, -1], Lr[:, -1], Cr[:, -2], Lr[:, -2],
+                                   Cr[:, -3], Lr[:, -3], s)
+        # a triple count is at most (2 Lb + 1)(2 Lc + 1): u is fixed by v, w
+        if np.abs(w) @ ((2 * Lr[:, -2] + 1.0) * (2 * Lr[:, -3] + 1)) < _VEC_LIMIT:
+            total += int(w @ counts)
+        else:
+            total += sum(map(operator.mul, w.tolist(), counts.tolist()))
+    return total
 
 
 def count_zero_sum(d: Sequence[int], X: int) -> int:

@@ -276,6 +276,18 @@ def test_python_dash_m_runs_the_cli():
     assert json.loads(proc.stdout)["count"] == 436
 
 
+def test_importing_the_cli_loads_no_process_pool():
+    # the pool is imported only when a count runs shards in parallel
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys, hypercount.cli; "
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_workers_env_is_validated_and_capped(capsys, monkeypatch):
     argv = ("count", "--n", "3", "--B", "100", "--shards", "3")
     for bad in ("abc", "0", "-2", "1.5"):
@@ -298,7 +310,7 @@ def test_workers_env_is_validated_and_capped(capsys, monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(counting, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(counting, "_pool", SerialPool)
     monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
     for env, shards, pool in (("64", "3", [2]), ("64", "1", []), ("1", "3", [])):
         pools.clear()

@@ -80,6 +80,17 @@ def test_sign_orbit():
                        for i in range(3)) == 0
 
 
+def test_multiplicities_stay_exact_up_to_the_largest_admitted_n():
+    # 20! is the largest factorial in int64, and past n = 14 the budget
+    # admits only X = 1, whose rows are all ones (n = 22 is admitted)
+    rows = np.array([list(range(1, 21)), [1] * 10 + [2] * 10, [3] * 20])
+    assert counting._multiplicities(rows).tolist() == [
+        math.factorial(20), math.comb(20, 10), 1]
+    assert counting._multiplicities(np.ones((1, 22), dtype=np.int64)).tolist() == [1]
+    budget = counting._WORK_BUDGET
+    assert counting._work_estimate(22, 1) <= budget < counting._work_estimate(15, 2)
+
+
 def test_coprimality_condition_examples():
     assert coprimality_condition((1,) * 7)
     assert not coprimality_condition((2, 2, 1, 1, 1, 1, 1))
@@ -165,20 +176,23 @@ def test_torsor_default_cap_counts():
 @pytest.mark.parametrize("cap", [1, 2, 3])
 @pytest.mark.parametrize("n, B, expect", _FLUSH_CASES)
 def test_torsor_counts_survive_tiny_flush_caps(monkeypatch, cap, n, B, expect):
-    # a cap this small steps through search batches of a few rows and
-    # expands a few kernel rows at a time; a row that recurs across the
-    # expansions still reaches the kernel once
-    calls = []
-    kernel = counting.count_zero_sum_boxes
+    # a cap this small steps through search batches of a few rows, expands
+    # a few kernel rows at a time and sends the row dict to the kernel a
+    # few rows per batch; a row that recurs across the expansions still
+    # reaches the kernel once, in one batch
+    rows, batches = [], []
+    kernel = counting.count_zero_sum_batch
 
-    def spy(coeffs, limits):
-        calls.append((tuple(coeffs), tuple(limits)))
-        return kernel(coeffs, limits)
+    def spy(coeffs, limits, weights):
+        batches.append(len(coeffs))
+        rows.extend(zip(map(tuple, coeffs.tolist()), map(tuple, limits.tolist())))
+        return kernel(coeffs, limits, weights)
 
     monkeypatch.setattr(counting, "_TORSOR_CAP", cap)
-    monkeypatch.setattr(counting, "count_zero_sum_boxes", spy)
+    monkeypatch.setattr(counting, "count_zero_sum_batch", spy)
     assert count_points(n, B, "torsor").count == expect
-    assert len(calls) == len(set(calls))
+    assert len(batches) > 1 and max(batches) <= cap
+    assert len(rows) == len(set(rows))
 
 
 def test_oversize_count_is_refused_before_it_starts():

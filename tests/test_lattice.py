@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -353,3 +354,119 @@ def test_upper_bound_with_calibrated_constant():
         checked += 1
         co = lattice_coefficients(z)
         assert count_solutions(z, X) <= C * X ** (n - 1) / max(co.d)
+
+
+# ------------------------- the batched closed form -------------------------
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.lists(st.tuples(st.integers(0, 40), st.integers(1, 10 ** 6),
+                          st.integers(-10 ** 9, 10 ** 9), st.integers(-10 ** 9, 10 ** 9)),
+                min_size=1, max_size=30))
+def test_array_floor_sum_matches_the_scalar(rows):
+    n, m, a, b = (np.array(v, dtype=np.int64) for v in zip(*rows))
+    assert lattice._floor_sum_vec(n, m, a, b).tolist() == [
+        lattice._floor_sum(*row) for row in rows]
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.lists(st.tuples(st.integers(0, 10 ** 12), st.integers(1, 10 ** 12)),
+                min_size=1, max_size=30))
+def test_array_inverse_matches_pow(pairs):
+    pairs = [(x, m) for x, m in pairs if math.gcd(x, m) == 1] or [(3, 7)]
+    x, m = (np.array(v, dtype=np.int64) for v in zip(*pairs))
+    assert lattice._inverse_vec(x, m).tolist() == [pow(x, -1, m) for x, m in pairs]
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.lists(st.tuples(_three_coordinate_rows(), st.integers(-200, 200)),
+                min_size=1, max_size=20))
+@example([(((2, 4, 6), (1, 1, 1)), 1)])  # gcd 2 divides no s: every count is 0
+def test_array_triple_count_matches_the_scalar(rows):
+    cols = [np.array(v, dtype=np.int64) for v in zip(*(
+        (a, La, b, Lb, c, Lc, s) for ((a, b, c), (La, Lb, Lc)), s in rows))]
+    assert lattice._triple_count_vec(*cols).tolist() == [
+        lattice._triple_count(*map(int, row)) for row in zip(*cols)]
+
+
+def _batch_by_the_scalar(coeffs, limits, weights):
+    return sum(w * count_zero_sum_boxes([c for c, L in zip(cs, Ls) if L > 0],
+                                        [L for L in Ls if L > 0])
+               for cs, Ls, w in zip(coeffs, limits, weights))
+
+
+@st.composite
+def _batches(draw):
+    """Rows of m = 0..5 pairs (0 to 5 active), their coefficients sharing a
+    factor k, some limits zero, each row scaled so that rows fall on both
+    sides of the int64 guard, and signed weights."""
+    m = draw(st.integers(0, 5))
+    rows = draw(st.integers(0, 6))
+    k = draw(st.sampled_from([1, 2, 6]))
+    coeffs, limits = [], []
+    for _ in range(rows):
+        scale = draw(st.sampled_from([1, 1 << 20, 1 << 27, 1 << 29, 10 ** 10]))
+        coeffs.append([draw(st.integers(1, 12)) * k * scale for _ in range(m)])
+        limits.append([draw(st.integers(0, 4 if m == 5 else 8)) for _ in range(m)])
+    weights = draw(st.lists(st.integers(-9, 9), min_size=rows, max_size=rows))
+    return (np.array(coeffs, dtype=np.int64).reshape(rows, m),
+            np.array(limits, dtype=np.int64).reshape(rows, m),
+            np.array(weights, dtype=np.int64))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_batches(), st.sampled_from([1, 2, 3, 4, 5, None]))
+def test_batch_matches_the_scalar_kernel(batch, chunk):
+    want = _batch_by_the_scalar(*(v.tolist() for v in batch))
+    with patch.object(lattice, "_CHUNK", chunk or lattice._CHUNK):
+        assert lattice.count_zero_sum_batch(*batch) == want
+
+
+def test_batch_on_both_sides_of_the_int64_guard():
+    # three coefficients near 2^29 and small boxes put the guard's bound
+    # near 2^60; the rows on each side must count exactly
+    rng = np.random.default_rng(53)
+    coeffs, limits = [], []
+    for _ in range(300):
+        top = 1 << int(rng.integers(27, 31))
+        g = int(rng.choice([1, 2, 6]))
+        coeffs.append([(top - int(v)) // g * g for v in rng.integers(0, 1000, size=5)])
+        limits.append([int(v) for v in rng.integers(0, 4, size=5)])
+    C, L = np.array(coeffs), np.array(limits)
+    weights = rng.integers(-3, 4, size=len(C))
+    order = np.argsort(L, axis=1, kind="stable")
+    fits = lattice._fits_int64_vec(np.take_along_axis(C, order, axis=1),
+                                   np.take_along_axis(L, order, axis=1))
+    assert 30 < fits.sum() < len(fits) - 30
+    want = _batch_by_the_scalar(coeffs, limits, weights.tolist())
+    assert lattice.count_zero_sum_batch(C, L, weights) == want
+    with patch.object(lattice, "_CHUNK", 3):
+        assert lattice.count_zero_sum_batch(C, L, weights) == want
+
+
+def test_batch_grids_split_across_chunks():
+    # n = 4 and n = 5 shaped rows, whose grids of outer cells are split
+    # between batches, against the scalar kernel and the grid oracle
+    rng = np.random.default_rng(59)
+    C = rng.integers(1, 40, size=(40, 5))
+    L = rng.integers(0, 5, size=(40, 5))
+    weights = rng.integers(-5, 6, size=40)
+    want = _batch_by_the_scalar(C.tolist(), L.tolist(), weights.tolist())
+    assert want == sum(int(w) * brute_zero_sum_boxes(c, l)
+                       for c, l, w in zip(C.tolist(), L.tolist(), weights))
+    for chunk in (1, 2, 5, 7, 64):
+        with patch.object(lattice, "_CHUNK", chunk):
+            assert lattice.count_zero_sum_batch(C, L, weights) == want
+
+
+def test_batch_contract():
+    ones = np.ones((2, 3), dtype=np.int64)
+    for coeffs, limits, weights in (
+            (ones, ones[:, :2], np.ones(2)),      # shapes differ
+            (ones, ones, np.ones(3)),             # one weight per row
+            (ones[0], ones[0], np.ones(1)),       # not rows
+            (ones, -ones, np.ones(2)),            # a negative limit
+            (0 * ones, ones, np.ones(2))):        # an active zero coefficient
+        with pytest.raises(ContractViolation):
+            lattice.count_zero_sum_batch(coeffs, limits, weights)
+    # an inactive pair's coefficient is ignored
+    assert lattice.count_zero_sum_batch([[0, 2, 3]], [[0, 1, 1]], [5]) == 5
