@@ -18,7 +18,6 @@ reduce counting to positive y, contributing the factor 2^{n-1}.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import time
@@ -46,9 +45,10 @@ _WORK_BUDGET = 10 ** 10
 # The price of 200 cells a tuple dates from the per-box kernel: measured on
 # a 2-vCPU x86 host, direct at n = 3, B = 1e6 spent about 6.8 us a tuple
 # and the numpy path at n = 4 about 0.03 us a cell.  The batched kernel
-# takes about 2.1 us a tuple there (0.35 s for 171,700 tuples).  The price
-# stays: what bounds the largest admitted n = 3 count is the torsor's row
-# dict, about 0.4 GB at the top of the budget, not time.
+# takes 2 to 3 us a tuple there (0.35 and 0.55 s for 171,700 tuples in
+# two single runs).  The price stays: what bounds the largest admitted
+# n = 3 count is the torsor's row dict, about 0.4 GB at the top of the
+# budget, not time.
 _CLOSED_FORM_CELLS = 200
 
 # direct and moebius build the tuples of a shard at most _BOX_ROWS at a
@@ -292,12 +292,12 @@ def _torsor_shard(n: int, X: int, shard: int, shards: int) -> int:
     The distinct leaves expand over squarefree m into rows of sorted
     (coeff, limit) pairs, at most _TORSOR_CAP rows at a time.  Equal rows
     add up their weights in one dict per shard keyed by the row's bytes,
-    and after the search the distinct rows go to count_zero_sum_batch,
-    _TORSOR_CAP rows a batch, so each is counted once (rows whose
-    weights cancel drop out there).  The dict takes about 128 B a
-    row, and at n = 3 the rows grow about as X^2.3: 837,888 rows at
-    X = 400 peaked at 140 MB, and the budget's top, X = 668, would hold
-    about 2.8M.
+    and after the search the distinct rows are popped from it and sent
+    to count_zero_sum_batch, _TORSOR_CAP rows a batch, so each is counted
+    once (rows whose weights cancel drop out there) and the memory of the
+    popped rows frees as they go.  The dict takes about 128 B a row, and
+    at n = 3 the rows grow about as X^2.3: 837,888 rows at X = 400 peaked
+    at 140 MB, and the budget's top, X = 668, would hold about 2.8M.
 
     Every entry of a search row is <= X < 2^15, so rows are int32, and
     lcm(y) <= X^n.  Every field of a leaf or kernel row is packed into
@@ -373,9 +373,8 @@ def _torsor_shard(n: int, X: int, shard: int, shards: int) -> int:
         leaves = np.column_stack([X // y.max(axis=1), pairs])
         expand(*_distinct_rows(leaves, np.ones(len(z), dtype=np.int64)))
     total = 0
-    items = iter(rows.items())
-    while part := list(itertools.islice(items, _TORSOR_CAP)):
-        keys, wts = zip(*part)
+    while rows:  # popped _TORSOR_CAP at a time, so the rows free as they go
+        keys, wts = zip(*(rows.popitem() for _ in range(min(len(rows), _TORSOR_CAP))))
         packed = np.frombuffer(b"".join(keys), dtype=np.int64).reshape(-1, n)
         total += count_zero_sum_batch(packed >> w, packed & low, np.array(wts))
     return total

@@ -11,24 +11,22 @@ ambient equation becomes sum_i d_i alpha_i = 0.  This module counts
 
 exactly, and evaluates the continuous main term X^{n-1} b / d_1 where b
 is the volume of the slab {alpha in [-1,1]^{n-1} : |sum_{i>=2} d_i
-alpha_i| <= d_1}.  Every count comes down to ``count_zero_sum_boxes``,
-the count of one box #{w : sum c_i w_i = 0, |w_i| <= L_i}; A_r(X)
-becomes one by an extra coordinate for the multiple of joint(r).  Three
-coordinates close in closed form, two by a progression count and the
-third by floor sums (``_floor_sum``), so a count takes O(X^{n-3} log X)
-Python-int steps and a box with three active coordinates needs no
-enumeration at all.  While int64 suffices, boxes with four or more
-active coordinates instead enumerate all but their two largest
-coordinates in numpy, in chunks of at most ``_CHUNK`` cells.
+alpha_i| <= d_1}.  Every count comes down to the count of boxes
+#{w : sum c_i w_i = 0, |w_i| <= L_i}; A_r(X) becomes one by an extra
+coordinate for the multiple of joint(r).  Three coordinates close in
+closed form, two by a progression count and the third by floor sums
+(``_floor_sum``), so a box with three active coordinates needs no
+enumeration at all, and a wider box repeats its three largest once per
+cell of its other coordinates.
 
-The counting pipelines count many boxes at once, with weights, through
-``count_zero_sum_batch``.  It runs the same closed form over int64
-arrays (``_triple_count_vec``, on array floor sums and modular
-inverses): every box closes its three largest coordinates and repeats
-once per cell of its other coordinates, half of that grid by symmetry,
-at most ``_CHUNK`` triple rows at a time.  Boxes past its int64 guard
-take the exact path of ``count_zero_sum_boxes``, which stays the
-single-box route and the reference the batch is tested against.
+``count_zero_sum_batch`` counts many boxes at once, with weights: it
+runs the closed form over int64 arrays (``_triple_count_vec``, on array
+floor sums and modular inverses), takes half of each box's outer grid
+by symmetry, and goes through at most ``_CHUNK`` triple rows at a time.
+Boxes past the int64 guard of the batch take ``_exact_count``, the same
+closed form and enumeration in Python integers.  ``count_zero_sum_boxes``
+counts one box: in Python integers when its outer grid is small, and
+otherwise as one row of the batch.
 """
 
 from __future__ import annotations
@@ -244,44 +242,19 @@ def _triple_count(a: int, La: int, b: int, Lb: int, c: int, Lc: int, s: int) -> 
             - _line_sum(max(t0, T_lo), t1, -alpha, -La - 1 - sigma, bq))
 
 
-def _pair_count_vec(a: int, La: int, b: int, Lb: int, s: np.ndarray) -> np.ndarray:
-    """``_pair_count_scalar`` over an int64 array of targets s.  The inverse
-    of a/g modulo b/g is 0 when b/g = 1, where every residue is 0."""
-    g = math.gcd(a, b)
-    bq = b // g
-    inv = pow(a // g % bq, -1, bq)
-    ok = s % g == 0
-    u0 = (np.where(ok, s, 0) // g % bq) * inv % bq
-    lo = np.maximum(-La, -((b * Lb - s) // a))
-    hi = np.minimum(La, (s + b * Lb) // a)
-    cnt = (hi - u0) // bq - (lo - u0 - 1) // bq
-    return np.where(ok & (hi >= lo), cnt, 0)
+# Triple rows of count_zero_sum_batch per vectorized batch.  A triple row
+# takes about 0.6 KB at the peak of the kernel, so a batch stays under
+# 1 MB.  Measured on a 2-vCPU x86 host over 30 passes of the three counts
+# at n = 4, B = 1.6e5 in one process, the peak RSS reached 34.55, 34.47
+# and 34.27 MB with batches of 2^11, 2^10 and 2^9 rows (34.79 MB with the
+# per-box kernel), and a pass took about 0.36, 0.40 and 0.52 s.
+_CHUNK = 1 << 10
 
-
-# Flattened outer-grid cells, or triple rows of count_zero_sum_batch, per
-# vectorized batch.  A triple row holds about 450 B at its peak, so a batch
-# stays near 1 MB.  Measured on a 2-vCPU x86 host, the torsor count at
-# n = 4, B = 1.6e5 alone peaked at 33.3, 33.9, 35.4 and 37.8 MB with
-# batches of 2^10, 2^11, 2^12 and 2^13 rows (34.0 MB with the per-box
-# kernel), while the counts at the benchmark sizes took the same time
-# within the noise.
-_CHUNK = 1 << 11
-
-
-def _outer_sum_chunks(outer: list[tuple[int, int]], base: int) -> "Iterator[np.ndarray]":
-    """Flattened arrays of base - sum(c_i w_i) over the outer grid, peeled
-    one coordinate at a time while the grid exceeds the chunk cap."""
-    size = math.prod(2 * L + 1 for L, _ in outer)
-    if size <= _CHUNK:
-        s = np.full(1, base, dtype=np.int64)
-        for L, c in outer:
-            w = np.arange(-L, L + 1, dtype=np.int64) * (-c)
-            s = (s[:, None] + w[None, :]).ravel()
-        yield s
-        return
-    (L, c), rest = outer[0], outer[1:]
-    for w in range(-L, L + 1):
-        yield from _outer_sum_chunks(rest, base - c * w)
+# A single box whose outer grid has fewer cells is counted in Python
+# integers: on a 2-vCPU x86 host a cell of _exact_count took 4-15 us and a
+# one-row batch about 0.3-0.6 ms plus about 1 us a cell, so the two met
+# near 40-50 cells.
+_EXACT_CELLS = 64
 
 
 def _active_pairs(coeffs: Sequence[int], limits: Sequence[int]) -> list[tuple[int, int]]:
@@ -293,13 +266,6 @@ def _active_pairs(coeffs: Sequence[int], limits: Sequence[int]) -> list[tuple[in
         raise ContractViolation("coefficients must be >= 1 and limits >= 0")
     pairs = sorted(zip(limits, coeffs))
     return pairs[bisect.bisect_left(pairs, (1,)):]
-
-
-def _fits_int64(active: list[tuple[int, int]]) -> bool:
-    """Whether every intermediate of the numpy path stays below _VEC_LIMIT."""
-    (_, b), (_, a) = active[-2:]
-    return (sum(itertools.starmap(operator.mul, active)) < _VEC_LIMIT
-            and max(a, b) ** 2 < _VEC_LIMIT)
 
 
 def _exact_count(active: list[tuple[int, int]]) -> int:
@@ -321,24 +287,6 @@ def _exact_count(active: list[tuple[int, int]]) -> int:
         s = -sum(cw * w for (_, cw), w in zip(outer, combo))
         total += _triple_count(a, La, b, Lb, c, Lc, s)
     return total
-
-
-def count_zero_sum_boxes(coeffs: Sequence[int], limits: Sequence[int]) -> int:
-    """#{w in Z^m : sum c_i w_i = 0, |w_i| <= L_i} for positive coefficients.
-
-    A box with at most three active coordinates (L_i > 0) is counted in
-    closed form.  Otherwise the two coordinates with the largest boxes
-    are closed in one progression count and the others are enumerated in
-    numpy (in bounded-memory chunks); when int64 could overflow, the
-    three largest close in closed form and the others are enumerated
-    with exact Python integers.
-    """
-    active = _active_pairs(coeffs, limits)
-    if len(active) <= 3 or not _fits_int64(active):
-        return _exact_count(active)
-    (Lb, b), (La, a) = active[-2:]
-    return sum(int(_pair_count_vec(a, La, b, Lb, s).sum())
-               for s in _outer_sum_chunks(active[:-2], 0))
 
 
 # --------------------------- batched closed form ---------------------------
@@ -439,12 +387,22 @@ def _fits_int64_vec(C: np.ndarray, L: np.ndarray) -> np.ndarray:
     floor sum has at most 2 Lc + 3 terms, its slope over its modulus is
     at most K + 2 in size, and its other argument is at most
     2 (K^2 + S)(Lc + 4) + 1.  So every intermediate, the running totals of
-    the floor sums included, stays below about 4 G, and G < 2^60, checked
-    in float64, keeps them below 2^63."""
-    K = C[:, -3:].max(axis=1).astype(np.float64)
-    S = (C.astype(np.float64) * L).sum(axis=1)
-    Lc = L[:, -3].astype(np.float64)
-    return (K * K + S + (K + Lc) * (Lc + 3)) * (2 * Lc + 4) < _VEC_LIMIT
+    the floor sums included, stays below about 4 G, and G < 2^60 keeps
+    them below 2^63.
+
+    The test runs in int64 alone (float loops would load more of numpy's
+    code for one comparison): a row with a coefficient or limit of 2^28
+    or more, or with more than 64 pairs, is refused before G is formed,
+    so no term of G passes 2^58 and their sum stays below 2^63; and G
+    itself is compared by dividing 2^60 by 2 Lc + 4."""
+    if C.shape[1] > 64:
+        return np.zeros(len(C), dtype=bool)
+    cap = 1 << 28
+    small = (C < cap).all(axis=1) & (L < cap).all(axis=1)
+    C, L = np.minimum(C, cap), np.minimum(L, cap)
+    K, Lc = C[:, -3:].max(axis=1), L[:, -3]
+    inner = K * K + (C * L).sum(axis=1) + (K + Lc) * (Lc + 3)
+    return small & (inner <= (_VEC_LIMIT - 1) // (2 * Lc + 4))
 
 
 def count_zero_sum_batch(coeffs: np.ndarray, limits: np.ndarray,
@@ -472,11 +430,12 @@ def count_zero_sum_batch(coeffs: np.ndarray, limits: np.ndarray,
                                 "and one weight per row")
     if (L < 0).any() or (C[L > 0] < 1).any():
         raise ContractViolation("coefficients must be >= 1 and limits >= 0")
-    pad = max(0, 3 - C.shape[1])
     order = np.argsort(L, axis=1, kind="stable")
-    L = np.pad(np.take_along_axis(L, order, axis=1), ((0, 0), (pad, 0)))
-    C = np.pad(np.where(L[:, pad:] > 0, np.take_along_axis(C, order, axis=1), 1),
-               ((0, 0), (pad, 0)), constant_values=1)
+    L = np.take_along_axis(L, order, axis=1)
+    C = np.where(L > 0, np.take_along_axis(C, order, axis=1), 1)
+    if C.shape[1] < 3:
+        pad = ((0, 0), (3 - C.shape[1], 0))
+        L, C = np.pad(L, pad), np.pad(C, pad, constant_values=1)
     live, fits = wt != 0, _fits_int64_vec(C, L)
     total = 0
     for Cr, Lr, w in zip(*(v[live & ~fits].tolist() for v in (C, L, wt))):
@@ -499,11 +458,31 @@ def count_zero_sum_batch(coeffs: np.ndarray, limits: np.ndarray,
         counts = _triple_count_vec(Cr[:, -1], Lr[:, -1], Cr[:, -2], Lr[:, -2],
                                    Cr[:, -3], Lr[:, -3], s)
         # a triple count is at most (2 Lb + 1)(2 Lc + 1): u is fixed by v, w
-        if np.abs(w) @ ((2 * Lr[:, -2] + 1.0) * (2 * Lr[:, -3] + 1)) < _VEC_LIMIT:
-            total += int(w @ counts)
+        most = max(int(w.max()), -int(w.min())) * int(
+            ((2 * Lr[:, -2] + 1) * (2 * Lr[:, -3] + 1)).max())
+        if most * len(w) < 1 << 63:
+            total += int((w * counts).sum())
         else:
             total += sum(map(operator.mul, w.tolist(), counts.tolist()))
     return total
+
+
+def count_zero_sum_boxes(coeffs: Sequence[int], limits: Sequence[int]) -> int:
+    """#{w in Z^m : sum c_i w_i = 0, |w_i| <= L_i} for positive coefficients.
+
+    The three largest boxes close in closed form, once per cell of the
+    grid of the other active coordinates (L_i > 0).  A grid of fewer than
+    ``_EXACT_CELLS`` cells, one cell included, is enumerated by
+    ``_exact_count`` in Python integers, and so is a box with sum c_i L_i
+    of 2^60 or more, whose coefficients may not fit int64.  Any other box
+    is one row of weight 1 for ``count_zero_sum_batch``.
+    """
+    active = _active_pairs(coeffs, limits)
+    if (math.prod(2 * L + 1 for L, _ in active[:-3]) < _EXACT_CELLS
+            or sum(itertools.starmap(operator.mul, active)) >= _VEC_LIMIT):
+        return _exact_count(active)
+    row = np.array(active, dtype=np.int64).reshape(1, -1, 2)  # (L, c) pairs
+    return count_zero_sum_batch(row[..., 1], row[..., 0], np.ones(1, dtype=np.int64))
 
 
 def count_zero_sum(d: Sequence[int], X: int) -> int:

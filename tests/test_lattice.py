@@ -150,6 +150,22 @@ def test_count_zero_sum_rows_edge_rows_and_wide_rows():
         assert count_zero_sum_boxes(coeffs, limits) == brute_zero_sum_boxes(coeffs, limits)
 
 
+def test_single_boxes_count_the_same_on_both_routes():
+    # count_zero_sum_boxes takes the Python-int path below _EXACT_CELLS
+    # outer cells and the batch above; forcing each route on every box
+    # must give the grid count
+    rng = np.random.default_rng(61)
+    cases = []
+    for _ in range(80):
+        m = int(rng.integers(1, 6))
+        cases.append((tuple(int(v) for v in rng.integers(1, 12, size=m)),
+                      tuple(int(v) for v in rng.integers(0, 5, size=m))))
+    expect = [brute_zero_sum_boxes(c, L) for c, L in cases]
+    for cells in (0, 1 << 30):
+        with patch.object(lattice, "_EXACT_CELLS", cells):
+            assert [count_zero_sum_boxes(c, L) for c, L in cases] == expect
+
+
 def test_count_zero_sum_rows_across_chunks(monkeypatch):
     rng = np.random.default_rng(43)
     cases = []
@@ -158,7 +174,7 @@ def test_count_zero_sum_rows_across_chunks(monkeypatch):
         cases.append((tuple(int(v) for v in rng.integers(1, 9, size=m)),
                       tuple(int(v) for v in rng.integers(0, 5, size=m))))
     expect = [brute_zero_sum_boxes(c, L) for c, L in cases]
-    # a cap of 5 cells makes most outer grids peel one coordinate at a time
+    # a cap of 5 triple rows splits most outer grids across batches
     monkeypatch.setattr(lattice, "_CHUNK", 5)
     assert [count_zero_sum_boxes(c, L) for c, L in cases] == expect
 
@@ -171,7 +187,7 @@ def test_count_zero_sum_rows_row_above_the_cell_cap(monkeypatch):
     expect = [brute_zero_sum_boxes(*cases[0]), _scalar_zero_sum_boxes(*big),
               brute_zero_sum_boxes(*cases[2])]
     assert [count_zero_sum_boxes(c, L) for c, L in cases] == expect
-    # with a cap of 5 cells the big row peels down to single cells
+    # with a cap of 5 triple rows the big row's grid splits into many batches
     monkeypatch.setattr(lattice, "_CHUNK", 5)
     assert 61 * 81 * 3 > lattice._CHUNK
     assert [count_zero_sum_boxes(c, L) for c, L in cases] == expect
@@ -273,9 +289,11 @@ def test_three_coordinate_rows_scaled_past_int64(row):
 def test_wide_rows_past_int64_against_the_grid(row, scale):
     coeffs, limits = row
     scaled = [c * scale for c in coeffs]
-    assert not lattice._fits_int64(lattice._active_pairs(scaled, limits))
     want = brute_zero_sum_boxes(coeffs, limits)
-    assert count_zero_sum_boxes(scaled, limits) == want
+    # past the int64 guard of the batch, the row takes the Python-int path
+    with patch.object(lattice, "_exact_count", wraps=lattice._exact_count) as exact:
+        assert count_zero_sum_boxes(scaled, limits) == want
+    assert exact.call_count == 1
     # nearly equal huge coefficients: a solution must cancel in both parts
     mixed = [c + k for k, c in enumerate(scaled)]
     want = _scalar_zero_sum_boxes(mixed, limits)
@@ -389,8 +407,10 @@ def test_array_triple_count_matches_the_scalar(rows):
 
 
 def _batch_by_the_scalar(coeffs, limits, weights):
-    return sum(w * count_zero_sum_boxes([c for c, L in zip(cs, Ls) if L > 0],
-                                        [L for L in Ls if L > 0])
+    # the Python-int path, which shares no array code with the batch (a
+    # wide count_zero_sum_boxes is itself a row of the batch)
+    return sum(w * lattice._exact_count(lattice._active_pairs(
+                   [c for c, L in zip(cs, Ls) if L > 0], [L for L in Ls if L > 0]))
                for cs, Ls, w in zip(coeffs, limits, weights))
 
 
@@ -422,25 +442,33 @@ def test_batch_matches_the_scalar_kernel(batch, chunk):
 
 
 def test_batch_on_both_sides_of_the_int64_guard():
-    # three coefficients near 2^29 and small boxes put the guard's bound
-    # near 2^60; the rows on each side must count exactly
+    # coefficients from 2^25 to just below 2^28 (the guard's cap) and
+    # limits up to 40 put the guard's bound G near 2^60; the rows on
+    # each side of it must count exactly
     rng = np.random.default_rng(53)
     coeffs, limits = [], []
     for _ in range(300):
-        top = 1 << int(rng.integers(27, 31))
+        top = 1 << int(rng.integers(25, 29))
         g = int(rng.choice([1, 2, 6]))
-        coeffs.append([(top - int(v)) // g * g for v in rng.integers(0, 1000, size=5)])
-        limits.append([int(v) for v in rng.integers(0, 4, size=5)])
+        coeffs.append([(top - int(v)) // g * g for v in rng.integers(1, 1000, size=4)])
+        limits.append([int(v) for v in rng.integers(0, 41, size=4)])
     C, L = np.array(coeffs), np.array(limits)
     weights = rng.integers(-3, 4, size=len(C))
     order = np.argsort(L, axis=1, kind="stable")
     fits = lattice._fits_int64_vec(np.take_along_axis(C, order, axis=1),
                                    np.take_along_axis(L, order, axis=1))
+    assert (C < 1 << 28).all()
     assert 30 < fits.sum() < len(fits) - 30
     want = _batch_by_the_scalar(coeffs, limits, weights.tolist())
     assert lattice.count_zero_sum_batch(C, L, weights) == want
     with patch.object(lattice, "_CHUNK", 3):
         assert lattice.count_zero_sum_batch(C, L, weights) == want
+    # a coefficient of 2^28 or more is refused before G is formed; clipped
+    # to 2^28, this row's G would pass
+    big = np.array([[1 << 40, (1 << 40) + 1, (1 << 40) + 3]])
+    ones = np.ones((1, 3), dtype=np.int64)
+    assert not lattice._fits_int64_vec(big, ones)[0]
+    assert lattice._fits_int64_vec(big >> 13, ones)[0]
 
 
 def test_batch_grids_split_across_chunks():
@@ -470,3 +498,7 @@ def test_batch_contract():
             lattice.count_zero_sum_batch(coeffs, limits, weights)
     # an inactive pair's coefficient is ignored
     assert lattice.count_zero_sum_batch([[0, 2, 3]], [[0, 1, 1]], [5]) == 5
+    # a weighted sum past int64 is added in Python integers (91 solutions
+    # of x + y + z = 0 in [-5, 5]^3)
+    assert lattice.count_zero_sum_batch([[1, 1, 1]] * 2, [[5, 5, 5]] * 2,
+                                        [1 << 61, (1 << 61) - 1]) == 91 * ((1 << 62) - 1)
