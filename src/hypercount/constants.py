@@ -18,12 +18,17 @@ routes:
 Monte Carlo uses counter-based (Philox) streams keyed by (seed, stream),
 so results are bit-identical for a fixed seed and sample plan.  Each
 stream serves one block of MC_BLOCK samples; ``mc_mean`` evaluates a
-block _MC_ROWS rows at a time into one array and sums that array whole,
-so the chunk size changes neither the draws nor any sum.  The integrands
-work on whole columns: a compare-exchange network stands in for numpy's
-per-row sort and running products for its cumprod, and every sum and
-product keeps numpy's order, so each value has the bits the row-wise
-code gave.
+block _MC_ROWS rows at a time into one buffer, reused by every block of
+the call, and sums it whole, so the chunk size changes neither the draws
+nor any sum.  The integrands work on whole columns: a compare-exchange
+network stands in for numpy's per-row sort, running products for its
+cumprod and running sums of columns for the polytope's row products, and
+every sum and product keeps numpy's order or is exact, so each value has
+the bits the row-wise code gave.
+
+The Euler product sieves in segments of _SIEVE_SEGMENT numbers and keeps
+one float64 log per prime, summed whole at the end, so its memory is
+that array plus one segment rather than the whole sieve.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -46,9 +51,11 @@ _MC_ROWS = 1 << 14
 _PHILOX_WORDS = 4  # 64-bit outputs per Philox counter step, one per double
 
 # The largest prime limit or Monte Carlo sample count admitted.  On a
-# 2-vCPU x86 host the sieve to 1e8 took 2.2 s and 296 MB, so 1e9 needs
-# about 3 GB and 1e10 would need 30 GB; a sample costs 0.06-0.23 us per
-# integrand, so 1e9 samples run for minutes and 1e15 would run for years.
+# 2-vCPU x86 host the Euler product to 1e8 took 1.1 s and 75 MB peak RSS,
+# of which 46 MB are its one log per prime, so 1e9 should need about 11 s
+# and 450 MB and 1e10 minutes and 4 GB (extrapolated); a sample costs
+# 0.06-0.23 us per integrand, so 1e9 samples run for minutes and 1e15
+# would run for years.
 SIZE_CAP = 10 ** 9
 
 
@@ -147,11 +154,41 @@ def primes_up_to(limit: int) -> np.ndarray:
     return np.nonzero(sieve)[0].astype(np.int64)
 
 
+# numbers sieved at once by ``_prime_segments``: a 256 KB bool segment
+_SIEVE_SEGMENT = 1 << 18
+
+
+def _prime_segments(limit: int) -> Iterator[np.ndarray]:
+    """The primes up to ``limit`` as int64 arrays, one per segment of
+    _SIEVE_SEGMENT numbers, in ascending order; each segment is marked
+    with the base primes up to sqrt(limit), so memory stays fixed."""
+    base = [int(p) for p in primes_up_to(math.isqrt(limit))]
+    for lo in range(0, limit + 1, _SIEVE_SEGMENT):
+        hi = min(lo + _SIEVE_SEGMENT, limit + 1)
+        mark = np.ones(hi - lo, dtype=bool)
+        mark[:max(0, 2 - lo)] = False
+        for p in base:
+            if p * p >= hi:
+                break
+            start = max(p * p, -(-lo // p) * p)
+            mark[start - lo::p] = False
+        yield np.flatnonzero(mark).astype(np.int64) + lo
+
+
+def _density_terms(eulerian: Sequence[int], p: int) -> tuple[int, int]:
+    """Numerator and denominator of ``local_density(n, p)`` for the n
+    coefficients of P_n: with m = 2^n - n - 1 it is
+    (p - 1)^m p^{n-1} P_n(1/p) (p^n - 1) over p^{m + 2n - 1}, already in
+    lowest terms (the numerator is +-1 mod p)."""
+    n = len(eulerian)
+    m = (1 << n) - n - 1
+    scaled = sum(c * p ** (n - 1 - k) for k, c in enumerate(eulerian))
+    return (p - 1) ** m * scaled * (p ** n - 1), p ** (m + 2 * n - 1)
+
+
 def local_density(n: int, p: int) -> Fraction:
     """(1 - 1/p)^{2^n - n - 1} P_n(1/p) (1 - p^{-n}) as an exact rational."""
-    x = Fraction(1, p)
-    m = (1 << n) - n - 1
-    return (1 - x) ** m * poly_eval(eulerian_polynomial(n), x) * (1 - x ** n)
+    return Fraction(*_density_terms(eulerian_polynomial(n), p))
 
 
 def _density_poly(n: int) -> list[int]:
@@ -184,7 +221,9 @@ def euler_product(n: int, prime_limit: int) -> EulerProduct:
     The enclosure comes from |log Q(x)| <= 2 M x^2 for x <= 1/sqrt(2M),
     where Q is the density polynomial (whose linear term vanishes) and
     M bounds sum_{k>=2} |q_k| 2^{2-k}; primes between prime_limit and the
-    safety threshold are folded in exactly.
+    safety threshold p_safe are folded in exactly.  For n >= 5 the bound
+    can exceed the float range, and the upper end is then inf; a p_safe
+    above SIZE_CAP (from n = 7 on) is refused before any sieving.
     """
     if prime_limit < 2:
         raise ContractViolation("prime_limit must be >= 2")
@@ -195,23 +234,41 @@ def euler_product(n: int, prime_limit: int) -> EulerProduct:
     m_const = float(sum(abs(c) * Fraction(1, 2) ** (k - 2)
                         for k, c in enumerate(q) if k >= 2)) * (1 + 1e-12)
     p_safe = max(prime_limit, math.isqrt(math.ceil(2 * m_const)) + 1)
-    primes = primes_up_to(p_safe)
-    inside = primes[primes <= prime_limit]
-    x = 1.0 / inside.astype(np.float64)
+    _check_size(p_safe, "safety threshold")
     mexp = (1 << n) - n - 1
-    logs = (mexp * np.log1p(-x)
-            + np.log(np.polyval(list(reversed(eulerian_polynomial(n))), x))
-            + np.log1p(-x ** n))
-    log_value = float(logs.sum())
-    between = primes[(primes > prime_limit) & (primes <= p_safe)]
+    eulerian = eulerian_polynomial(n)
+    coeffs = eulerian[::-1]
+    # Every log goes into one array, summed whole at the end: numpy's
+    # pairwise sum then sees the elements, in the order, that summing the
+    # logs of every prime at once gave.  pi(x) < 1.25506 x / ln x for
+    # x > 1 (Rosser and Schoenfeld, 1962) sizes it.
+    logs = np.empty(int(1.25506 * prime_limit / math.log(prime_limit)) + 1)
+    size = 0
+    between: list[int] = []
+    for primes in _prime_segments(p_safe):
+        cut = int(np.searchsorted(primes, prime_limit, side="right"))
+        x = 1.0 / primes[:cut].astype(np.float64)
+        logs[size:size + cut] = (mexp * np.log1p(-x) + np.log(np.polyval(coeffs, x))
+                                 + np.log1p(-x ** n))
+        size += cut
+        between += primes[cut:].tolist()
+    log_value = float(logs[:size].sum())
+    # int / int is correctly rounded, so it is float(local_density(n, p))
+    # without reducing the Fraction
     extra = 0.0
     for p in between:
-        extra += math.log(float(local_density(n, int(p))))
+        num, den = _density_terms(eulerian, p)
+        extra += math.log(num / den)
     rest = 2.0 * m_const / p_safe
-    slack = (len(inside) + len(between) + 10) * 1e-15
+    slack = (size + len(between) + 10) * 1e-15
     value = math.exp(log_value)
     lower = math.exp(log_value + extra - rest - slack)
-    upper = math.exp(log_value + extra + rest + slack)
+    # for n >= 5 the tail bound rest can pass log(DBL_MAX); an infinite
+    # upper end still encloses the product
+    try:
+        upper = math.exp(log_value + extra + rest + slack)
+    except OverflowError:
+        upper = math.inf
     return EulerProduct(n, prime_limit, value, lower, upper)
 
 
@@ -241,9 +298,9 @@ def mc_mean(fn: Callable[..., np.ndarray], samples: int, seed: int,
     at a time: the first draw's chunks come straight from the stream, and
     each later draw reads from its own generator advanced past the draws
     before it, so every chunk holds exactly the rows that drawing the
-    whole block at once would give.  The values fill one ``count``-long
-    array per block, summed whole, so the estimate does not depend on
-    _MC_ROWS.
+    whole block at once would give.  The values of a block fill a prefix
+    of one buffer allocated per call, which is summed whole, squared in
+    place and summed again, so the estimate does not depend on _MC_ROWS.
     """
     if samples < 1:
         raise ContractViolation("samples must be >= 1")
@@ -251,6 +308,7 @@ def mc_mean(fn: Callable[..., np.ndarray], samples: int, seed: int,
     stream = 0
     tot = 0.0
     totsq = 0.0
+    buf = np.empty(min(MC_BLOCK, samples), dtype=np.float64)
     while done < samples:
         count = min(MC_BLOCK, samples - done)
         rngs = []
@@ -262,13 +320,14 @@ def mc_mean(fn: Callable[..., np.ndarray], samples: int, seed: int,
             rng.random(rest)
             rngs.append(rng)
             skip += count * w
-        vals = np.empty(count, dtype=np.float64)
+        vals = buf[:count]
         for lo in range(0, count, _MC_ROWS):
             rows = min(_MC_ROWS, count - lo)
             vals[lo:lo + rows] = fn(*(rng.random((rows, w))
                                       for rng, w in zip(rngs, widths)))
         tot += float(vals.sum())
-        totsq += float((vals * vals).sum())
+        np.multiply(vals, vals, out=vals)
+        totsq += float(vals.sum())
         done += count
         stream += 1
     mean = tot / samples
@@ -311,6 +370,12 @@ def polytope_constraints(n: int) -> list[tuple[dict[int, int], int]]:
     return ([(row((j, j + 1)), 0) for j in range(4, n)]
             + [(row((n, n + 1)), 1), (row((1, 3)), 0), (row((1, 2)), 0),
                (row((2, 1), (3, 4)), 0)])
+
+
+def _unit_sum_row(n: int) -> int:
+    """Position in ``polytope_constraints(n)``, n >= 4, of the row of the
+    pair (n, n + 1): the top-bit coordinates sum to at most 1."""
+    return n - 4
 
 
 def _boole(f: Callable[[Fraction], Fraction], lo: Fraction, hi: Fraction) -> Fraction:
@@ -362,38 +427,58 @@ def polytope_volume(n: int, method: str = "exact",
     _check_size(samples, "sample count")
     free = free_indices(n)
     pos = {h: i for i, h in enumerate(free)}
-    rows = [(np.array([pos[h] for h in coeffs], dtype=np.int64),
-             np.array([c for c in coeffs.values()], dtype=np.float64),
-             float(const))
-            for coeffs, const in polytope_constraints(n)]
 
     # For n >= 4 the unit-sum constraint over the k top-bit coordinates
     # (the row of the pair (n, n + 1)) is so binding (its own volume is
     # 1/k!) that naive sampling rarely hits; those coordinates are drawn
     # from their simplex instead and the estimator carries the exact 1/k!
     # weight, which is 1 at n = 3, where no coordinate is drawn so.
-    simplex_idx = np.array([i for i, h in enumerate(free) if n >= 4 and bit(h, n)],
-                           dtype=np.int64)
+    simplex_idx = [i for i, h in enumerate(free) if n >= 4 and bit(h, n)]
     weight_factor = 1.0 / math.factorial(len(simplex_idx))
-    plain_idx = np.array([i for i in range(len(free)) if i not in set(simplex_idx)],
-                         dtype=np.int64)
+    plain_idx = [i for i in range(len(free)) if i not in simplex_idx]
+    constraints = polytope_constraints(n)
+    if simplex_idx:
+        # The unit-sum row always holds on these draws, so it is not
+        # tested.  Uniforms are multiples of 2^-53 below 1, and so is every
+        # spacing of the sorted draws and every partial sum of spacings (at
+        # most the largest draw): all of them are exact, and the row sum is
+        # the largest draw.  Even rounded, six subtractions (1/4 ulp of 1
+        # each) and six additions (1/2 ulp each) would move that sum of at
+        # most 1 - 2^-53 by at most 4.5 ulp, below the bound 1 + 1e-15,
+        # which rounds to 1 + 5 ulp.
+        del constraints[_unit_sum_row(n)]
+    # each row's (column, coefficient) terms in its key order, zeros skipped
+    rows = [([(pos[h], c) for h, c in coeffs.items() if c], float(const))
+            for coeffs, const in constraints]
 
     def block(*draws: np.ndarray) -> np.ndarray:
-        if simplex_idx.size:
+        if simplex_idx:
             simplex_u, plain_u = draws
-            t = np.empty((len(plain_u), len(free)), dtype=np.float64)
-            s = _sorted_columns(simplex_u.T)
-            for i, j in enumerate(simplex_idx):
-                t[:, j] = s[i] - s[i - 1] if i else s[0]
-            t[:, plain_idx] = plain_u
+            spacings = _sorted_columns(simplex_u.T)
+            for i in range(len(spacings) - 1, 0, -1):
+                spacings[i] -= spacings[i - 1]
+            # rows of the transposed copy are contiguous columns
+            plain = plain_u.T.copy()
+            cols = dict(zip(simplex_idx, spacings)) | dict(zip(plain_idx, plain))
         else:
-            (t,) = draws
-        ok = np.ones(len(t), dtype=bool)
-        for idx, cs, const in rows:
-            ok &= (t[:, idx] @ cs) <= const + 1e-15
+            cols = dict(enumerate(draws[0].T.copy()))
+        ok = np.ones(len(draws[0]), dtype=bool)
+        term = np.empty(len(ok), dtype=np.float64)
+        for terms, const in rows:
+            # a running sum of +-col or +-2 col; every product is exact
+            (j, c), *rest = terms
+            acc = c * cols[j]
+            for j, c in rest:
+                if c == 1:
+                    np.add(acc, cols[j], out=acc)
+                elif c == -1:
+                    np.subtract(acc, cols[j], out=acc)
+                else:
+                    np.add(acc, np.multiply(cols[j], c, out=term), out=acc)
+            ok &= acc <= const + 1e-15
         return weight_factor * ok.astype(np.float64)
 
-    widths = ((simplex_idx.size, plain_idx.size) if simplex_idx.size
+    widths = ((len(simplex_idx), len(plain_idx)) if simplex_idx
               else (len(free),))
     return mc_mean(block, samples, seed, widths)
 

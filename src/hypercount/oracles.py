@@ -9,6 +9,7 @@ package against these functions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -17,8 +18,10 @@ import numpy as np
 
 # ------------------------------ definitions ------------------------------
 
+@functools.cache
 def subset_of(h: int, n: int) -> frozenset[int]:
-    """The subset of {1, ..., n} whose indicator bits are h."""
+    """The subset of {1, ..., n} whose indicator bits are h; cached, since
+    the draws and the reducedness test ask for every pair again."""
     return frozenset(j for j in range(1, n + 1) if (h >> (j - 1)) & 1)
 
 

@@ -1,6 +1,7 @@
 """Test-only oracles: Monte Carlo slab volumes, the exact inner volume of
 the beta~ integrand, dilation counting, the series form of the Eulerian
-polynomials and the maximal-chain form of reducedness.
+polynomials, the maximal-chain form of reducedness and a plain sieve of
+Eratosthenes.
 
 Like ``hypercount.oracles``, which holds the oracles that ``verify``
 shares with the tests, everything here is written directly from the
@@ -97,3 +98,13 @@ def coprimality_condition(z) -> bool:
         if g == 1:
             return True
     return False
+
+
+def primes_by_sieve(limit: int) -> list[int]:
+    """The primes up to ``limit``: a sieve of Eratosthenes over one
+    bytearray holding every number in [0, limit]."""
+    flags = bytearray([0, 0]) + bytearray([1]) * (limit - 1)
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
+    return [p for p, flag in enumerate(flags) if flag]

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -17,10 +18,12 @@ from hypercount.constants import (AssemblyConfig, MCEstimate,
                                   polytope_constraints, polytope_volume,
                                   free_indices, zeta_value, _cube_slab_vec)
 from hypercount.errors import ContractViolation, ResourceLimit
+from hypercount.factorization import bit
 from hypercount.lattice import slab_volume
 from hypercount.toric import enumerate_variety
 
-from oracles import beta_inner_volume, dilation_volume_n3, eulerian_by_series
+from oracles import (beta_inner_volume, dilation_volume_n3, eulerian_by_series,
+                     primes_by_sieve)
 
 # closed form of the n = 3 weighted-slab integral: split off the region
 # where the band covers the whole square and integrate the corner-cut
@@ -95,6 +98,84 @@ def test_euler_product_tail_shrinks():
     assert res.ok, res.detail
 
 
+SEG = constants._SIEVE_SEGMENT
+
+
+@pytest.mark.parametrize("segment", [SEG, 7, 64])
+def test_segmented_sieve_matches_plain_sieve(monkeypatch, segment):
+    monkeypatch.setattr(constants, "_SIEVE_SEGMENT", segment)
+    limits = {2, 3, segment - 1, segment, segment + 1, 1000} - {1}
+    for limit in sorted(limits):
+        segments = list(constants._prime_segments(limit))
+        assert len(segments) == limit // segment + 1
+        for k, primes in enumerate(segments):
+            assert primes.dtype == np.int64
+            assert ((k * segment <= primes) & (primes < (k + 1) * segment)).all()
+        assert np.concatenate(segments).tolist() == primes_by_sieve(limit)
+
+
+# (value, lower, upper) as float.hex, computed before the sieve was
+# segmented, when it ran over [0, p_safe] in one array; at n = 4 the
+# limit 10 lies below p_safe = 39, so the primes 11..37 are folded in
+EULER_PINNED = {
+    (3, 10 ** 3): ("0x1.5082b147ef904p-5", "0x1.429aaeda07ed1p-5",
+                   "0x1.5f04293519b1ep-5"),
+    (3, 2 ** 18 - 1): ("0x1.5020990fbeea8p-5", "0x1.5012beed4bfeap-5",
+                       "0x1.502e73c45b7ccp-5"),
+    (3, 2 ** 18): ("0x1.5020990fbeea8p-5", "0x1.5012bef0c2751p-5",
+                   "0x1.502e73c0e4bd4p-5"),
+    (3, 2 ** 18 + 1): ("0x1.5020990fbeea8p-5", "0x1.5012bef438e98p-5",
+                       "0x1.502e73bd6dffcp-5"),
+    (3, 10 ** 6): ("0x1.50206e1f2dd0cp-5", "0x1.501ccc78f1e7bp-5",
+                   "0x1.50240fcf75080p-5"),
+    (4, 10): ("0x1.87314cbae4767p-15", "0x1.1144e8664617bp-72",
+              "0x1.1dead6ac7ba0cp+40"),
+    (4, 10 ** 3): ("0x1.aa0d09957fb23p-17", "0x1.76b4554e10244p-19",
+                   "0x1.e46efca52d463p-15"),
+    (4, 2 ** 18 - 1): ("0x1.a719ebae5482ap-17", "0x1.a4a9dd8a6c814p-17",
+                       "0x1.a98d979bc56bbp-17"),
+    (4, 2 ** 18): ("0x1.a719ebae5482ap-17", "0x1.a4a9de25fcc36p-17",
+                   "0x1.a98d96fe6644ap-17"),
+    (4, 2 ** 18 + 1): ("0x1.a719ebae5482ap-17", "0x1.a4a9dec18cb7bp-17",
+                       "0x1.a98d9661076cdp-17"),
+    (4, 10 ** 6): ("0x1.a718a1609e495p-17", "0x1.a674b1147ae07p-17",
+                   "0x1.a7bcd14b04e8dp-17"),
+}
+
+
+@pytest.mark.parametrize("key", list(EULER_PINNED), ids=str)
+def test_euler_product_matches_pinned_bits(monkeypatch, key):
+    n, limit = key
+    # many short segments give the same bits as one long one
+    for segment in (SEG, 7) if limit <= 10 ** 3 else (SEG,):
+        monkeypatch.setattr(constants, "_SIEVE_SEGMENT", segment)
+        e = euler_product(n, limit)
+        assert (e.value.hex(), e.lower.hex(), e.upper.hex()) == EULER_PINNED[key]
+
+
+def test_euler_product_encloses_past_the_float_range():
+    # at n >= 5 the tail bound passes log(DBL_MAX): the upper end is inf
+    for n, limit in ((5, 2), (6, 10 ** 4)):
+        e = euler_product(n, limit)
+        assert 0 <= e.lower <= e.value <= e.upper
+    # at n = 7 the exact range would run to p_safe = 441,915,919,905
+    with pytest.raises(ResourceLimit, match="safety threshold"):
+        euler_product(7, 2)
+
+
+def test_euler_product_memory_is_fixed_per_segment():
+    # the whole-range sieve peaked at 13.6 MB here (the bool sieve, the
+    # int64 primes and float temporaries over every prime); the segmented
+    # one keeps one log per prime and a segment's temporaries
+    tracemalloc.start()
+    try:
+        euler_product(3, 4 * 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.8e6
+
+
 def test_polytope_dimensions_and_constraints():
     assert free_indices(3) == [2, 4, 5, 6]
     assert len(free_indices(4)) == 11
@@ -124,6 +205,14 @@ def test_polytope_rows_keep_their_key_order():
         [(1, -1), (2, 1), (4, 1), (6, 2), (8, -1), (9, -2), (10, 0), (11, -1),
          (13, -1), (14, 1)],
     ]
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_monte_carlo_skips_only_the_unit_sum_row(n):
+    # the row polytope_volume leaves out on simplex draws
+    coeffs, const = polytope_constraints(n)[constants._unit_sum_row(n)]
+    assert const == 1
+    assert coeffs == {h: 1 for h in free_indices(n) if bit(h, n)}
 
 
 def test_polytope_volume_exact():
@@ -295,6 +384,21 @@ def test_row_chunks_do_not_change_the_estimate(monkeypatch, name, rows):
     expect = MC_INTEGRANDS[name](1001, 4)
     monkeypatch.setattr(constants, "_MC_ROWS", rows)
     assert MC_INTEGRANDS[name](1001, 4) == expect
+
+
+def test_monte_carlo_reuses_one_block_buffer(monkeypatch):
+    block = 1 << 16
+    monkeypatch.setattr(constants, "MC_BLOCK", block)
+    monkeypatch.setattr(constants, "_MC_ROWS", 1 << 10)
+    constants.mc_mean(lambda u: u[:, 0], 3 * block, 0, (1,))  # warm-up
+    tracemalloc.start()
+    try:
+        est = constants.mc_mean(lambda u: u[:, 0], 3 * block, 0, (1,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.49 < est.value < 0.51
+    assert peak < 1.5 * 8 * block
 
 
 # (value, standard error) as float.hex, computed before the blocks were
