@@ -36,8 +36,11 @@ WORKERS_ENV = "HYPERCOUNT_WORKERS"
 METHODS = ("direct", "moebius", "torsor")
 
 # cells a count may enumerate (see _work_estimate): it admits n = 3 up to
-# B ~ 3e8 and n = 4 up to B ~ 1.5e7, and refuses what would run for more
-# than five to ten minutes (at 0.03 us a cell, see below)
+# B ~ 3e8, n = 4 up to B ~ 1.5e7 and n = 5 up to B = 23^5, and was set to
+# refuse what would run for more than five to ten minutes at 0.03 us a
+# cell (see below).  At n >= 4 that price is far above the cost: on a
+# 2-vCPU x86 host, n = 4, B = 1.4e7 took 2.7, 3.3 and 16 s with direct,
+# moebius and torsor, and n = 5, B = 23^5 took 7.6, 5.5 and 10 s.
 _WORK_BUDGET = 10 ** 10
 
 # An n = 3 box closes in floor sums, so an n = 3 count takes one closed-form
@@ -430,7 +433,9 @@ def _work_estimate(n: int, X: int) -> int:
     """Cells a count enumerates, roughly: C(X+n-1, n) sorted y tuples,
     each a box of (2X+1)^(n-2) cells outside its two largest
     coordinates, or at n = 3 one closed-form row priced at
-    _CLOSED_FORM_CELLS cells."""
+    _CLOSED_FORM_CELLS cells.  At n >= 4 this prices far more than the
+    kernel enumerates: it closes three coordinates, takes half of the
+    rest, and steps one of those through a single residue class only."""
     tuples = math.comb(X + n - 1, n)
     if n == 3:
         return tuples * _CLOSED_FORM_CELLS

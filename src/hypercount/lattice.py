@@ -16,17 +16,13 @@ alpha_i| <= d_1}.  Every count comes down to the count of boxes
 coordinate for the multiple of joint(r).  Three coordinates close in
 closed form, two by a progression count and the third by floor sums
 (``_floor_sum``), so a box with three active coordinates needs no
-enumeration at all, and a wider box repeats its three largest once per
-cell of its other coordinates.
+enumeration at all.
 
-``count_zero_sum_batch`` counts many boxes at once, with weights: it
-runs the closed form over int64 arrays (``_triple_count_vec``, on array
-floor sums and modular inverses), takes half of each box's outer grid
-by symmetry, and goes through at most ``_CHUNK`` triple rows at a time.
-Boxes past the int64 guard of the batch take ``_exact_count``, the same
-closed form and enumeration in Python integers.  ``count_zero_sum_boxes``
-counts one box: in Python integers when its outer grid is small, and
-otherwise as one row of the batch.
+``count_zero_sum_batch`` counts many boxes at once, with weights, over
+int64 arrays: a box closes a triple, steps one coordinate through the
+residue class that can solve each cell of the others, and takes half
+of that grid by symmetry.  Boxes past its int64 guard, and single boxes
+with small grids, take ``_exact_count`` in Python integers.
 """
 
 from __future__ import annotations
@@ -105,15 +101,10 @@ def _box_cdf(weights: Sequence[Fraction], t: Fraction) -> Fraction:
     if t >= total:
         return Fraction(1)
     acc = Fraction(0)
-    for mask in range(1 << m):
-        s = t
-        sign = 1
-        for i in range(m):
-            if (mask >> i) & 1:
-                s -= weights[i]
-                sign = -sign
-        if s > 0:
-            acc += sign * s ** m
+    for k in range(m + 1):
+        for shift in itertools.combinations(weights, k):
+            if (s := t - sum(shift)) > 0:
+                acc += (-1) ** k * s ** m
     return acc / (math.factorial(m) * math.prod(weights))
 
 
@@ -136,9 +127,7 @@ def slab_volume(weights: Sequence[int | Fraction], bound: int | Fraction) -> Fra
     total = sum(w)
     if c >= total:
         return Fraction(2) ** m
-    t_hi = (total + c) / 2
-    t_lo = (total - c) / 2
-    return (Fraction(2) ** m) * (_box_cdf(w, t_hi) - _box_cdf(w, t_lo))
+    return Fraction(2) ** m * (_box_cdf(w, (total + c) / 2) - _box_cdf(w, (total - c) / 2))
 
 
 def tuple_slab_volume(z: Sequence[int]) -> Fraction:
@@ -160,13 +149,6 @@ def solution_main_term(z: Sequence[int], X: int) -> Fraction:
 
 # --------------------------- progression counts ---------------------------
 
-def _progression_count(a0: int, M: int, lo: int, hi: int) -> int:
-    """#{u in [lo, hi] : u == a0 (mod M)}, M >= 1."""
-    if hi < lo:
-        return 0
-    return (hi - a0) // M - (lo - a0 - 1) // M
-
-
 def _pair_count_scalar(a: int, La: int, b: int, Lb: int, s: int) -> int:
     """#{(u, v) : a u + b v = s, |u| <= La, |v| <= Lb} with a, b >= 1."""
     g = math.gcd(a, b)
@@ -176,7 +158,7 @@ def _pair_count_scalar(a: int, La: int, b: int, Lb: int, s: int) -> int:
     u0 = (s_ % b_) * pow(a_ % b_, -1, b_) % b_ if b_ > 1 else 0
     lo = max(-La, -((b * Lb - s) // a))
     hi = min(La, (s + b * Lb) // a)
-    return _progression_count(u0, b_, lo, hi)
+    return max(0, (hi - u0) // b_ - (lo - u0 - 1) // b_)  # u == u0 mod b_ in [lo, hi]
 
 
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:
@@ -242,12 +224,11 @@ def _triple_count(a: int, La: int, b: int, Lb: int, c: int, Lc: int, s: int) -> 
             - _line_sum(max(t0, T_lo), t1, -alpha, -La - 1 - sigma, bq))
 
 
-# Triple rows of count_zero_sum_batch per vectorized batch.  A triple row
-# takes about 0.6 KB at the peak of the kernel, so a batch stays under
-# 1 MB.  Measured on a 2-vCPU x86 host over 30 passes of the three counts
-# at n = 4, B = 1.6e5 in one process, the peak RSS reached 34.55, 34.47
-# and 34.27 MB with batches of 2^11, 2^10 and 2^9 rows (34.79 MB with the
-# per-box kernel), and a pass took about 0.36, 0.40 and 0.52 s.
+# Cells of count_zero_sum_batch per vectorized batch, about 0.4 KB each at
+# the peak of the kernel.  Over 30 passes of the three counts at n = 4,
+# B = 1.6e5 in one process on a 2-vCPU x86 host, the peak RSS reached
+# 33.5, 32.9 and 32.7 MB with batches of 2^11, 2^10 and 2^9 cells, and a
+# pass took 0.27-0.31 s with each (three runs of each size).
 _CHUNK = 1 << 10
 
 # A single box whose outer grid has fewer cells is counted in Python
@@ -329,102 +310,108 @@ def _inverse_vec(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _triple_count_vec(a, La, b, Lb, c, Lc, s) -> np.ndarray:
-    """``_triple_count`` over int64 arrays, one count per row, for rows
-    within the guard of ``count_zero_sum_batch``; the four floor sums of
-    every row run as one ``_floor_sum_vec``."""
-    ok = s % np.gcd(np.gcd(a, b), c) == 0
-    if not ok.all():
-        out = np.zeros(len(s), dtype=np.int64)
-        out[ok] = _triple_count_vec(*(v[ok] for v in (a, La, b, Lb, c, Lc, s)))
-        return out
-    sums = _floor_sum_vec(*_triple_line_sums(a, La, b, Lb, c, Lc, s)).reshape(4, -1)
-    return sums[0] + sums[1] - sums[2] - sums[3]
-
-
-def _triple_line_sums(a, La, b, Lb, c, Lc, s) -> tuple[np.ndarray, ...]:
-    """The arguments (n, m, a, b) of the four floor sums of
-    ``_triple_count``, stacked, for rows where gcd(a, b, c) divides s.
-    The same steps, with the w range clipped to [-Lc - 1, Lc + 1] so every
-    t stays small, and the split points clipped into [t0 - 1, t1 + 1].
-    Only the stacked arguments outlive the call, which halves the
-    memory of a batch."""
+def _triple_terms(a, La, b, Lb, c, Lc) -> np.ndarray:
+    """The terms of ``_triple_count`` that depend on the box alone, over
+    int64 arrays of boxes, as the rows of one array (named in
+    ``_triple_line_sums``)."""
     g = np.gcd(a, b)
     g1 = np.gcd(g, c)
     gp, cq, bq = g // g1, c // g1, b // g
     inv_c, inv = _inverse_vec(np.concatenate([cq % gp, a // g % bq]),
                               np.concatenate([gp, bq])).reshape(2, -1)
+    alpha, D, bL, aL = -(cq % bq) * inv % bq, c * gp, b * Lb, a * La
+    return np.array([bq, a * bq, alpha, D, La, bL, aL + bL, bL - aL, -(D + a * alpha), g1,
+                     gp, inv_c, c, g, inv, Lc, a])
+
+
+def _triple_count_vec(T: np.ndarray, row: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``_triple_count`` over int64 arrays, one count per cell, from the
+    ``_triple_terms`` T of the boxes, the box of each cell and its target
+    s, which gcd(a, b, c) must divide; all floor sums run as one call."""
+    sums = _floor_sum_vec(*_triple_line_sums(T[:, row], s)).reshape(4, -1)
+    return sums[0] + sums[1] - sums[2] - sums[3]
+
+
+def _triple_line_sums(T: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arguments (n, m, a, b) of the four floor sums of
+    ``_triple_count``, stacked, for cells with box terms T: the same
+    steps, with the w range clipped to [-Lc - 1, Lc + 1] so every t stays
+    small and the split points clipped into [t0 - 1, t1 + 1]; only the
+    stacked arguments outlive the call."""
+    bq, M, alpha, D, La, bL, R, bLaL, slope, g1, gp, inv_c, c, g, inv, Lc, a = T
     w0 = s // g1 % gp * inv_c % gp
     E = s - c * w0  # s - c w = E - D t, and g divides E
-    D = c * gp
     sigma = E // g % bq * inv % bq
-    alpha = -(cq % bq) * inv % bq
-    R = a * La + b * Lb
-    w_lo = np.clip(-((R - s) // c), -Lc, Lc + 1)
-    w_hi = np.clip((s + R) // c, -Lc - 1, Lc)
+    w_lo = np.minimum(np.maximum(-((R - s) // c), -Lc), Lc + 1)
+    w_hi = np.minimum(np.maximum((s + R) // c, -Lc - 1), Lc)
     t0 = -((w0 - w_lo) // gp)
     t1 = (w_hi - w0) // gp
-    T_hi = np.clip((E + b * Lb - a * La) // D, t0 - 1, t1)
-    T_lo = np.clip(-((b * Lb - a * La - E) // D), t0, t1 + 1)
-    slope = -(D + a * alpha)
-    M = a * bq
+    T_hi = np.minimum(np.maximum((E + bLaL) // D, t0 - 1), t1)
+    T_lo = np.minimum(np.maximum(-((bLaL - E) // D), t0), t1 + 1)
     lo = np.concatenate([t0, T_hi + 1, t0, T_lo])
-    A = np.concatenate([-alpha, slope, slope, -alpha])
-    B = np.concatenate([La - sigma, E + b * Lb - a * sigma,
-                        E - b * Lb - 1 - a * sigma, -La - 1 - sigma])
     n = np.maximum(np.concatenate([T_hi, t1, T_lo - 1, t1]) - lo + 1, 0)
-    return n, np.concatenate([bq, M, M, bq]), A, A * lo + B
+    rest = E - a * sigma
+    A = np.concatenate([-alpha, slope, slope, -alpha])
+    B = A * lo + np.concatenate([La - sigma, rest + bL, rest - bL - 1, -La - 1 - sigma])
+    return n, np.concatenate([bq, M, M, bq]), A, B
 
 
 def _fits_int64_vec(C: np.ndarray, L: np.ndarray) -> np.ndarray:
-    """Rows of ``count_zero_sum_batch`` (sorted by limit, padded to three
-    pairs) whose triple rows keep every intermediate within int64.
+    """Batch rows (prefix, x, closed triple by limit) whose cells fit int64.
 
-    Let K be the largest of the three closed coefficients, Lc the
-    smallest of their limits, S = sum c_i L_i over the row and
-    G = (K^2 + S + (K + Lc)(Lc + 3))(2 Lc + 4).  A product of two closed
-    coefficients is below K^2 and |s| <= S; every t has |t| <= Lc + 3, a
-    floor sum has at most 2 Lc + 3 terms, its slope over its modulus is
-    at most K + 2 in size, and its other argument is at most
-    2 (K^2 + S)(Lc + 4) + 1.  So every intermediate, the running totals of
-    the floor sums included, stays below about 4 G, and G < 2^60 keeps
-    them below 2^63.
-
-    The test runs in int64 alone (float loops would load more of numpy's
-    code for one comparison): a row with a coefficient or limit of 2^28
-    or more, or with more than 64 pairs, is refused before G is formed,
-    so no term of G passes 2^58 and their sum stays below 2^63; and G
-    itself is compared by dividing 2^60 by 2 Lc + 4."""
-    if C.shape[1] > 64:
-        return np.zeros(len(C), dtype=bool)
+    Let K be the largest closed coefficient, Lc the smallest closed limit,
+    S = sum c_i L_i over the row and G = (K^2 + S + (K + Lc)(Lc + 3))
+    (2 Lc + 4).  A product of two closed coefficients is below K^2 and
+    |s| <= S; |t| <= Lc + 3, a floor sum has at most 2 Lc + 3 terms, its
+    slope over its modulus is at most K + 2 in size and its other
+    argument at most 2 (K^2 + S)(Lc + 4) + 1.  Stepping x takes |p|,
+    |c_x x| <= S and h <= g1 <= K, so (p/e mod h) times an inverse mod h
+    is below K^2.  Every intermediate, the floor sums' totals included,
+    stays below about 4 G, and G < 2^60 keeps them below 2^63.  A row
+    with a coefficient or limit of 2^28 or more, or over 64 pairs, is
+    refused first, so no term of G passes 2^58 in int64."""
     cap = 1 << 28
-    small = (C < cap).all(axis=1) & (L < cap).all(axis=1)
+    small = (C < cap).all(axis=1) & (L < cap).all(axis=1) & (C.shape[1] <= 64)
     C, L = np.minimum(C, cap), np.minimum(L, cap)
     K, Lc = C[:, -3:].max(axis=1), L[:, -3]
     inner = K * K + (C * L).sum(axis=1) + (K + Lc) * (Lc + 3)
     return small & (inner <= (_VEC_LIMIT - 1) // (2 * Lc + 4))
 
 
+def _stepped_order(C: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """Each row's column order: prefix, stepped x, closed triple (rows
+    sorted by limit, m >= 4 pairs).  x has the fewest solvable cells,
+    (prefix half-grid cells) * (floor(L_x / h) + 1) with g1 the gcd of the
+    last three columns but x and h = g1 / gcd(c_x, g1); ties go to m - 4."""
+    m, (c0, c1, c2, c3) = C.shape[1], C[:, -4:].T
+    g01, g23 = np.gcd(c0, c1), np.gcd(c2, c3)
+    cand = np.r_[m - 4:m, :m - 4]  # stepping a column before m - 4 closes the last three
+    g1 = np.stack([np.gcd(c1, g23), np.gcd(c0, g23), np.gcd(g01, c3), np.gcd(g01, c2)])[
+        np.minimum(np.arange(m), 4) % 4].T
+    side = 2 * L + 1  # the prefix is the first m - 3 columns but x, or the first m - 4
+    cells = side[:, :m - 3].prod(1, dtype=float)[:, None] / side[:, np.minimum(cand, m - 4)]
+    cost = (cells + 1) * (L[:, cand] // (g1 // np.gcd(C[:, cand], g1)) + 1)
+    x = cand[cost.argmin(axis=1)][:, None]
+    q = np.arange(m) - (np.arange(m) > m - 4)  # every column but x, in order
+    return np.where(np.arange(m) == m - 4, x, q + (q >= x))
+
+
 def count_zero_sum_batch(coeffs: np.ndarray, limits: np.ndarray,
                          weights: np.ndarray) -> int:
     """sum_r weights[r] * count_zero_sum_boxes(coeffs[r], limits[r]) over
     the rows of int64 arrays of shape (rows, m), exactly; |weights| must
-    stay below 2^62.
+    stay below 2^62, and a coefficient >= 1 where its limit is > 0.
 
-    A coefficient must be >= 1 wherever its limit is > 0; a pair with
-    limit 0 is inactive and its coefficient is ignored.  Each row is
-    sorted by limit and padded to three pairs with inactive ones.  Its
-    three largest boxes close in ``_triple_count_vec``, and its other
-    coordinates are enumerated, one triple row per cell of their grid.
-    The triple count is even in s, and the cells w and -w of a grid give
-    opposite s, so only the first half of each grid is taken, doubled,
-    and its centre once.  Triple rows go through the kernel at most
-    ``_CHUNK`` at a time, split across rows and within them.  Rows past
-    the int64 guard (``_fits_int64_vec``) go one at a time to the exact
-    ``_exact_count``."""
-    C = np.asarray(coeffs, dtype=np.int64)
-    L = np.asarray(limits, dtype=np.int64)
-    wt = np.asarray(weights, dtype=np.int64)
+    Each row is sorted by limit, padded to three pairs (a row of three
+    has an inactive x), split by ``_stepped_order``, and its terms
+    (``_triple_terms``) worked out once.  A cell (prefix w, x) with prefix
+    sum p is solvable only when g1 | p + c_x x: when e = gcd(c_x, g1)
+    divides p and x lies in one class mod h = g1 / e, so only those x are
+    taken.  The count is even in s, so the first half of the prefix grid
+    takes every x, doubled, and its centre x = 0 once and x = h, 2h, ...
+    doubled.  At most ``_CHUNK`` cells go through ``_triple_count_vec`` at
+    a time; rows past ``_fits_int64_vec`` go one at a time to ``_exact_count``."""
+    C, L, wt = (np.asarray(v, dtype=np.int64) for v in (coeffs, limits, weights))
     if C.ndim != 2 or C.shape != L.shape or wt.shape != C.shape[:1]:
         raise ContractViolation("need coefficient and limit rows of one shape "
                                 "and one weight per row")
@@ -436,30 +423,46 @@ def count_zero_sum_batch(coeffs: np.ndarray, limits: np.ndarray,
     if C.shape[1] < 3:
         pad = ((0, 0), (3 - C.shape[1], 0))
         L, C = np.pad(L, pad), np.pad(C, pad, constant_values=1)
+    elif C.shape[1] > 3:
+        order = _stepped_order(C, L)
+        C, L = np.take_along_axis(C, order, axis=1), np.take_along_axis(L, order, axis=1)
     live, fits = wt != 0, _fits_int64_vec(C, L)
-    total = 0
-    for Cr, Lr, w in zip(*(v[live & ~fits].tolist() for v in (C, L, wt))):
-        total += w * _exact_count(sorted((l, c) for l, c in zip(Lr, Cr) if l > 0))
+    total = sum(w * _exact_count(sorted((l, c) for l, c in zip(Lr, Cr) if l > 0))
+                for Cr, Lr, w in zip(*(v[live & ~fits].tolist() for v in (C, L, wt))))
     C, L, wt = C[live & fits], L[live & fits], wt[live & fits]
-    radix = 2 * L[:, :-3] + 1  # the grid of the outer coordinates
-    size = radix.prod(axis=1)
-    end = ((size + 1) >> 1).cumsum()  # first half and centre of each grid
-    cells = int(end[-1]) if len(end) else 0
+    T = _triple_terms(C[:, -1], L[:, -1], C[:, -2], L[:, -2], C[:, -3], L[:, -3])
+    cx, Lx = (C[:, -4], L[:, -4]) if C.shape[1] > 3 else (np.ones_like(wt), 0 * wt)
+    radix = 2 * L[:, :-4] + 1
+    h = T[9] // (e := np.gcd(cx, T[9]))
+    span = 2 * Lx // h + 1  # the most x of one class in [-Lx, Lx]
+    before = ((radix.prod(axis=1) - 1) >> 1) * span  # cells before the centre
+    size = before + Lx // h + 1
+    end, cells = size.cumsum(), int(size.sum())
+    rows = [end - size, before, h, cx, wt]
+    if radix.shape[1]:  # for the class of x in a prefix cell, and the prefix's offset
+        rows += [span, e, _inverse_vec(cx // e % h, h), Lx, -(C * L)[:, :-4].sum(axis=1)]
+    rows = np.array(rows)
+    # a triple count is at most (2 Lb + 1)(2 Lc + 1): u is fixed by v, w
+    most = 2 * int(np.abs(wt).max(initial=0)) * int(
+        ((2 * L[:, -2] + 1) * (2 * L[:, -3] + 1)).max(initial=0))
     for lo in range(0, cells, _CHUNK):
         cell = np.arange(lo, min(lo + _CHUNK, cells))
         row = end.searchsorted(cell, "right")
-        rank = cell - end[row] + ((size[row] + 1) >> 1)
-        w = wt[row] << (2 * rank + 1 < size[row])  # doubled but at the centre
-        Cr, Lr = C[row], L[row]
-        s = np.zeros(len(row), dtype=np.int64)
-        for j in range(radix.shape[1] - 1, -1, -1):
-            rank, digit = np.divmod(rank, radix[row, j])
-            s -= Cr[:, j] * (digit - Lr[:, j])
-        counts = _triple_count_vec(Cr[:, -1], Lr[:, -1], Cr[:, -2], Lr[:, -2],
-                                   Cr[:, -3], Lr[:, -3], s)
-        # a triple count is at most (2 Lb + 1)(2 Lc + 1): u is fixed by v, w
-        most = max(int(w.max()), -int(w.min())) * int(
-            ((2 * Lr[:, -2] + 1) * (2 * Lr[:, -3] + 1)).max())
+        first, before_r, h_r, c_r, w, *prefix = rows[:, row]
+        rank = cell - first
+        w <<= rank != before_r  # doubled but x = 0 at the centre
+        x, p = rank * h_r, 0
+        if prefix:  # a prefix cell before the centre takes its x class
+            span_r, e_r, inv_r, L_r, p = prefix  # p: the prefix's part of s
+            k, j = np.divmod(rank, span_r)
+            for c, r in zip(C[row, :-4].T[::-1], radix[row].T[::-1]):
+                k, digit = np.divmod(k, r)
+                p += c * digit
+            x0 = -(p // e_r % h_r) * inv_r % h_r
+            x = j * h_r + np.where(rank < before_r, (x0 + L_r) % h_r - L_r, 0)
+            ok = (x <= L_r) & (p % e_r == 0)
+            row, x, p, w, c_r = row[ok], x[ok], p[ok], w[ok], c_r[ok]
+        counts = _triple_count_vec(T, row, -(p + c_r * x))
         if most * len(w) < 1 << 63:
             total += int((w * counts).sum())
         else:
@@ -470,13 +473,10 @@ def count_zero_sum_batch(coeffs: np.ndarray, limits: np.ndarray,
 def count_zero_sum_boxes(coeffs: Sequence[int], limits: Sequence[int]) -> int:
     """#{w in Z^m : sum c_i w_i = 0, |w_i| <= L_i} for positive coefficients.
 
-    The three largest boxes close in closed form, once per cell of the
-    grid of the other active coordinates (L_i > 0).  A grid of fewer than
-    ``_EXACT_CELLS`` cells, one cell included, is enumerated by
-    ``_exact_count`` in Python integers, and so is a box with sum c_i L_i
-    of 2^60 or more, whose coefficients may not fit int64.  Any other box
-    is one row of weight 1 for ``count_zero_sum_batch``.
-    """
+    A box with fewer than ``_EXACT_CELLS`` cells outside its three largest
+    active boxes (L_i > 0), or with sum c_i L_i of 2^60 or more, is counted
+    by ``_exact_count`` in Python integers, and any other box as one row
+    of weight 1 for ``count_zero_sum_batch``."""
     active = _active_pairs(coeffs, limits)
     if (math.prod(2 * L + 1 for L, _ in active[:-3]) < _EXACT_CELLS
             or sum(itertools.starmap(operator.mul, active)) >= _VEC_LIMIT):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypercount import counting, verify
+from hypercount import counting, lattice, verify
 from hypercount.counting import (CountReport, count_points, int_nth_root,
                                  mobius_sieve, squarefree_divisors)
 from hypercount.errors import ContractViolation, ResourceLimit
@@ -193,6 +193,28 @@ def test_torsor_counts_survive_tiny_flush_caps(monkeypatch, cap, n, B, expect):
     assert count_points(n, B, "torsor").count == expect
     assert len(batches) > 1 and max(batches) <= cap
     assert len(rows) == len(set(rows))
+
+
+def _triple_rows(monkeypatch, n, B, method):
+    """Cells the batched kernel sends to its closed form in one count."""
+    rows = []
+    kernel = lattice._triple_count_vec
+    monkeypatch.setattr(lattice, "_triple_count_vec",
+                        lambda T, row, s: rows.append(len(s)) or kernel(T, row, s))
+    count_points(n, B, method)
+    return sum(rows)
+
+
+@pytest.mark.parametrize("method", ["direct", "moebius"])
+def test_n4_counts_send_only_solvable_cells(monkeypatch, method):
+    # each box steps one coordinate through the class that can solve it,
+    # so 40,622 cells reach the closed form; every cell of half the grid
+    # of the smallest box, solvable or not, would be 194,979
+    assert _triple_rows(monkeypatch, 4, 1.6e5, method) <= 50_000
+
+
+def test_n3_counts_send_one_cell_a_box(monkeypatch):
+    assert _triple_rows(monkeypatch, 3, 2e5, "direct") == 40_794
 
 
 def test_oversize_count_is_refused_before_it_starts():

@@ -174,7 +174,7 @@ def test_count_zero_sum_rows_across_chunks(monkeypatch):
         cases.append((tuple(int(v) for v in rng.integers(1, 9, size=m)),
                       tuple(int(v) for v in rng.integers(0, 5, size=m))))
     expect = [brute_zero_sum_boxes(c, L) for c, L in cases]
-    # a cap of 5 triple rows splits most outer grids across batches
+    # a cap of 5 cells splits most grids across batches
     monkeypatch.setattr(lattice, "_CHUNK", 5)
     assert [count_zero_sum_boxes(c, L) for c, L in cases] == expect
 
@@ -187,7 +187,7 @@ def test_count_zero_sum_rows_row_above_the_cell_cap(monkeypatch):
     expect = [brute_zero_sum_boxes(*cases[0]), _scalar_zero_sum_boxes(*big),
               brute_zero_sum_boxes(*cases[2])]
     assert [count_zero_sum_boxes(c, L) for c, L in cases] == expect
-    # with a cap of 5 triple rows the big row's grid splits into many batches
+    # with a cap of 5 cells the big row's grid splits into many batches
     monkeypatch.setattr(lattice, "_CHUNK", 5)
     assert 61 * 81 * 3 > lattice._CHUNK
     assert [count_zero_sum_boxes(c, L) for c, L in cases] == expect
@@ -396,14 +396,27 @@ def test_array_inverse_matches_pow(pairs):
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
-@given(st.lists(st.tuples(_three_coordinate_rows(), st.integers(-200, 200)),
+@given(st.lists(st.tuples(_three_coordinate_rows(),
+                          st.lists(st.integers(-200, 200), min_size=1, max_size=6)),
                 min_size=1, max_size=20))
-@example([(((2, 4, 6), (1, 1, 1)), 1)])  # gcd 2 divides no s: every count is 0
-def test_array_triple_count_matches_the_scalar(rows):
-    cols = [np.array(v, dtype=np.int64) for v in zip(*(
-        (a, La, b, Lb, c, Lc, s) for ((a, b, c), (La, Lb, Lc)), s in rows))]
-    assert lattice._triple_count_vec(*cols).tolist() == [
-        lattice._triple_count(*map(int, row)) for row in zip(*cols)]
+@example([(((2, 4, 6), (1, 1, 1)), [1])])  # gcd 2 divides no s: every count is 0
+@example([(((2, 4, 6), (1, 1, 1)), [1, 2, -4]), (((3, 5, 7), (2, 0, 4)), [0, 9])])
+def test_array_triple_count_matches_the_scalar(boxes):
+    # the terms of each box once, and its targets as cells of that box; a
+    # target that gcd(a, b, c) does not divide has no solution, and the
+    # batch never sends one
+    T = lattice._triple_terms(*(np.array(v, dtype=np.int64) for v in zip(*(
+        (a, La, b, Lb, c, Lc) for ((a, b, c), (La, Lb, Lc)), _ in boxes))))
+    row, s, want = [], [], []
+    for r, (((a, b, c), (La, Lb, Lc)), targets) in enumerate(boxes):
+        for t in targets:
+            count = lattice._triple_count(a, La, b, Lb, c, Lc, t)
+            if t % math.gcd(a, b, c):
+                assert count == 0
+            else:
+                row.append(r), s.append(t), want.append(count)
+    row, s = np.array(row, dtype=np.int64), np.array(s, dtype=np.int64)
+    assert lattice._triple_count_vec(T, row, s).tolist() == want
 
 
 def _batch_by_the_scalar(coeffs, limits, weights):
@@ -441,6 +454,58 @@ def test_batch_matches_the_scalar_kernel(batch, chunk):
         assert lattice.count_zero_sum_batch(*batch) == want
 
 
+@st.composite
+def _stepped_batches(draw):
+    """Rows of m = 4..6 pairs whose coefficients share a factor k on every
+    pair but one, so the closed triple's gcd misses the stepped
+    coefficient in part (e > 1) or wholly, with tied or untied limits,
+    inactive pairs, and signed weights."""
+    m = draw(st.integers(4, 6))
+    rows = draw(st.integers(1, 5))
+    coeffs, limits = [], []
+    for _ in range(rows):
+        k, odd = draw(st.sampled_from([2, 3, 4, 6, 12])), draw(st.integers(0, m - 1))
+        part = draw(st.sampled_from([1, 2, 3]))  # the odd coefficient may share part of k
+        coeffs.append([draw(st.integers(1, 9)) * (part if i == odd else k)
+                       for i in range(m)])
+        top = 3 if m == 6 else 6
+        limits.append(draw(st.one_of(st.lists(st.integers(0, top), min_size=m, max_size=m),
+                                     st.integers(0, top).map(lambda L: [L] * m))))
+    weights = draw(st.lists(st.integers(-9, 9), min_size=rows, max_size=rows))
+    return tuple(np.array(v, dtype=np.int64) for v in (coeffs, limits, weights))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(_stepped_batches(), st.sampled_from([1, 2, 3, 5, None]))
+# x = the 6 (g1 = 18, e = 6, h = 3) and the prefix sum 9 w is no multiple of e at w = -1
+@example((np.array([[9, 18, 18, 6, 18]]), np.array([[1, 1, 1, 1, 2]]), np.array([1])), None)
+def test_stepped_rows_match_the_scalar_kernel(batch, chunk):
+    want = _batch_by_the_scalar(*(v.tolist() for v in batch))
+    with patch.object(lattice, "_CHUNK", chunk or lattice._CHUNK):
+        assert lattice.count_zero_sum_batch(*batch) == want
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.one_of(_stepped_batches(), _batches()), st.randoms(use_true_random=False))
+def test_permuting_a_rows_pairs_keeps_its_count(batch, rnd):
+    C, L, weights = batch
+    want = _batch_by_the_scalar(C.tolist(), L.tolist(), weights.tolist())
+    order = np.array([rnd.sample(range(C.shape[1]), C.shape[1]) for _ in range(len(C))],
+                     dtype=np.int64).reshape(C.shape)
+    permuted = (np.take_along_axis(C, order, axis=1), np.take_along_axis(L, order, axis=1))
+    assert lattice.count_zero_sum_batch(*permuted, weights) == want
+
+
+def _arranged(C, L):
+    """The batch's column order: sorted by limit, inactive coefficients
+    set to 1, then prefix, stepped coordinate and closed triple."""
+    order = np.argsort(L, axis=1, kind="stable")
+    L = np.take_along_axis(L, order, axis=1)
+    C = np.where(L > 0, np.take_along_axis(C, order, axis=1), 1)
+    order = lattice._stepped_order(C, L)
+    return np.take_along_axis(C, order, axis=1), np.take_along_axis(L, order, axis=1)
+
+
 def test_batch_on_both_sides_of_the_int64_guard():
     # coefficients from 2^25 to just below 2^28 (the guard's cap) and
     # limits up to 40 put the guard's bound G near 2^60; the rows on
@@ -452,13 +517,24 @@ def test_batch_on_both_sides_of_the_int64_guard():
         g = int(rng.choice([1, 2, 6]))
         coeffs.append([(top - int(v)) // g * g for v in rng.integers(1, 1000, size=4)])
         limits.append([int(v) for v in rng.integers(0, 41, size=4)])
+    # three coefficients sharing 2^k > 40 and an odd fourth with the
+    # largest limit: the fourth is stepped (one cell), so the guard reads
+    # the closed triple and not the three largest boxes
+    for _ in range(300):
+        top, g = 1 << int(rng.integers(25, 29)), 1 << int(rng.integers(6, 11))
+        coeffs.append([(top - int(v)) // g * g for v in rng.integers(1, 1000, size=3)]
+                      + [top - 2 * int(rng.integers(1, 1000)) - 1])
+        limits.append([int(v) for v in rng.integers(1, 31, size=3)]
+                      + [int(rng.integers(31, 41))])
     C, L = np.array(coeffs), np.array(limits)
     weights = rng.integers(-3, 4, size=len(C))
-    order = np.argsort(L, axis=1, kind="stable")
-    fits = lattice._fits_int64_vec(np.take_along_axis(C, order, axis=1),
-                                   np.take_along_axis(L, order, axis=1))
+    fits = lattice._fits_int64_vec(*_arranged(C, L))
     assert (C < 1 << 28).all()
-    assert 30 < fits.sum() < len(fits) - 30
+    assert 30 < fits[:300].sum() < 300 - 30
+    # (unless a cheaper column shares a factor with the fourth by chance)
+    stepped = _arranged(C[300:], L[300:])[1][:, -4] == L[300:, 3]
+    assert stepped.sum() > 270
+    assert 30 < fits[300:][stepped].sum() < stepped.sum() - 30
     want = _batch_by_the_scalar(coeffs, limits, weights.tolist())
     assert lattice.count_zero_sum_batch(C, L, weights) == want
     with patch.object(lattice, "_CHUNK", 3):
