@@ -487,13 +487,13 @@ def polytope_volume(n: int, method: str = "exact",
 
 def _sorted_columns(cols: Sequence[np.ndarray]) -> list[np.ndarray]:
     """The columns sorted within each row, ascending, as new contiguous
-    arrays.
+    arrays of the input dtype.
 
     An insertion network of compare-exchanges only permutes each row's
     values, so for input free of NaN and -0.0 this is np.sort(axis=1) of
     the stacked columns, bit for bit, without a per-row sort call.
     """
-    out = [np.array(col, dtype=np.float64) for col in cols]
+    out = [np.array(col) for col in cols]
     spare = np.empty_like(out[0])
     for i in range(1, len(out)):
         for j in range(i, 0, -1):

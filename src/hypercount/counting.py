@@ -23,10 +23,11 @@ import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from .constants import _sorted_columns
 from .errors import ContractViolation, ResourceLimit
 from .factorization import _weight_levels
 from .lattice import count_zero_sum_batch
@@ -39,8 +40,8 @@ METHODS = ("direct", "moebius", "torsor")
 # B ~ 3e8, n = 4 up to B ~ 1.5e7 and n = 5 up to B = 23^5, and was set to
 # refuse what would run for more than five to ten minutes at 0.03 us a
 # cell (see below).  At n >= 4 that price is far above the cost: on a
-# 2-vCPU x86 host, n = 4, B = 1.4e7 took 2.7, 3.3 and 16 s with direct,
-# moebius and torsor, and n = 5, B = 23^5 took 7.6, 5.5 and 10 s.
+# 2-vCPU x86 host, n = 4, B = 1.4e7 took 2.9, 3.0 and 1.8 s with direct,
+# moebius and torsor, and n = 5, B = 23^5 took 5.4, 5.2 and 2.1 s.
 _WORK_BUDGET = 10 ** 10
 
 # An n = 3 box closes in floor sums, so an n = 3 count takes one closed-form
@@ -61,16 +62,14 @@ _CLOSED_FORM_CELLS = 200
 _BOX_ROWS = 1 << 11
 
 # The torsor search steps through batches of at most 12 * _TORSOR_CAP
-# entries (rows of 2n int32 columns) and expands its leaves into at most
-# _TORSOR_CAP kernel rows at a time.  Peak RSS grows with the batches and
-# time falls as they grow (every step costs a fixed number of numpy calls).
-# Measured at n = 3, B = 2e5 in one process after direct and moebius on a
-# 2-vCPU x86 host: 33.5 MB with 8 * _TORSOR_CAP entries a batch, 33.6 MB
-# with 12, 34.0 MB with 16 and 33.2 MB with the recursive search this
-# replaced; batches of 8 made the tests' tiny caps about 0.3 s slower.
-# The kernel rows are not capped: each shard merges them in one dict, and
-# sends it to the batched kernel _TORSOR_CAP rows at a time once its search
-# ends.
+# int64 entries (2n + 1 fields a row) and expands its leaves into at most
+# _TORSOR_CAP kernel rows at a time.  Peak RSS, one pass in one process
+# after direct and moebius on a 2-vCPU x86 host: at n = 3, B = 2e5,
+# 32.2-32.4 MB with 4, 8 or 12 * _TORSOR_CAP entries a batch and
+# 32.4-32.5 MB with 16 or 24; at n = 4, B = 1.6e5, 31.9-32.1 and
+# 32.1-32.2 MB; the time alike within noise.  The kernel rows are not
+# capped: each shard merges them in one dict, and sends it to the batched
+# kernel _TORSOR_CAP rows at a time once its search ends.
 _TORSOR_CAP = 1 << 11
 
 
@@ -229,27 +228,27 @@ def _moebius_shard(n: int, X: int, shard: int, shards: int) -> int:
         np.zeros(len(y), dtype=np.int64), upto[X // y[:, -1]]))
 
 
-def _distinct_rows(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a 2-D int64 array in lexicographic order, with
-    the weights of equal rows added up: ``np.unique(axis=0)`` by one
-    lexsort and a boundary diff, at a fraction of its cost."""
-    if not len(keys):
-        return keys, weights
-    order = np.lexsort(keys.T[::-1])
-    keys = keys[order]
-    new = np.ones(len(keys), dtype=bool)
-    new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+def _distinct_rows(keys: Sequence[np.ndarray],
+                   weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows held field by field in keys[0], keys[1], ..., as
+    the columns of a 2-D int64 array in lexicographic order, with the
+    weights of equal rows added up: ``np.unique(axis=1)`` of the stacked
+    fields by one lexsort and a boundary diff, at a fraction of its cost."""
+    order = np.lexsort(keys[::-1])
+    keys = np.array(keys)[:, order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = np.logical_or.reduce(keys[:, 1:] != keys[:, :-1])
     starts = new.nonzero()[0]
-    return keys[starts], np.add.reduceat(weights[order], starts)
+    return keys[:, starts], np.add.reduceat(weights[order], starts)
 
 
 def _packs_in_int64(n: int, X: int) -> bool:
-    """Whether the torsor's packed fields fit int64 (see _torsor_shard)."""
+    """Whether the torsor's fields and packed rows fit int64 (see _torsor_shard)."""
     return (n + 1) * X.bit_length() <= 62
 
 
 def _spread(size: np.ndarray, limit: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """Batching over items that each expand into size[i] >= 1 slots: the
+    """Batching over items that each expand into size[i] >= 0 slots: the
     longest prefix of items with at most ``limit`` slots in all, or the
     first item alone.  Returns its length k and, for each of its slots in
     order, the slot's item and its rank 0, 1, ... within that item."""
@@ -261,21 +260,30 @@ def _spread(size: np.ndarray, limit: int) -> tuple[int, np.ndarray, np.ndarray]:
 
 
 def _torsor_shard(n: int, X: int, shard: int, shards: int) -> int:
-    """Reduced-tuple enumeration.
+    """Reduced-tuple enumeration, one nondecreasing y per S_n orbit.
 
     The search sets z_h for h != 2^n - 1 level by level, in descending
-    subset size and ascending h inside a size.  A row holds y_1 .. y_n,
-    the products of the z_h set so far over the h containing j, then
-    the singletons z_{2^0} .. z_{2^{n-1}}.  One numpy step sets the next
-    z_h on a batch of rows: it repeats each row by its cap
-    X // max_{j in h} y_j, keeps each candidate v coprime to the product
-    of the z's already set that are incomparable with h (and
-    v % shards == shard on the first level), and multiplies v into the
-    y_j with j in h, and into z_h when h is a singleton.  The z's set so
-    far have |l| >= |h|, so the incomparable ones are those not
+    subset size and ascending h inside a size, so the singletons {j}
+    come last, j = 1, ..., n.  A batch holds its rows as columns of
+    2n + 1 int64 fields: y_1 .. y_n (the products of the z_h set so far
+    over the h containing j), the singletons z_{2^0} .. z_{2^{n-1}}, and
+    P, the product of every z set so far.  One numpy step sets the next
+    z_h on a batch: it repeats each row once per candidate v, keeps the
+    v coprime to the product of the z's set so far that are incomparable
+    with h (and v % shards == shard on the first level), and multiplies
+    v into y_j for j in h, into P, and into z_h if h is a singleton.
+    Those z's have |l| >= |h|, so the incomparable ones are those not
     containing h; the primes of a reduced tuple divide a chain of z's,
-    so those multiply to lcm(y) and those containing h to
-    gcd_{j in h} y_j, and the product sought is their quotient.
+    so those containing h multiply to gcd_{j in h} y_j, and the product
+    sought is P over that gcd.
+
+    v runs up to the cap X // max_{j in h} y_j, from 1, or for a
+    singleton {j}, j > 1, from ceil(y_{j-1} / y_j): y_{j-1} is final
+    then, so the leaves are the reduced tuples with y nondecreasing, one
+    per S_n orbit, and a row whose range is empty drops out.  Nothing a
+    leaf yields depends on the order of its coordinates and z <-> y is
+    equivariant, so each leaf weighs the size of its orbit,
+    _multiplicities(y).
 
     The batches are walked depth first on an explicit stack: a step
     takes the rows of the top batch whose candidates fit in one batch
@@ -285,39 +293,34 @@ def _torsor_shard(n: int, X: int, shard: int, shards: int) -> int:
     whatever X.
 
     The top variable carries no coprimality constraint, so its range
-    [1, Z], Z = X // max_j y_j, is closed in one divisor sum: for each
-    squarefree m, mu(m) * floor(Z/m) * #{x' : m | x'_j z_{2^{j-1}} for
-    all j} where the inner count is a box-restricted zero-sum count.
-    The sum depends only on Z and the pairs (z_{2^j}, cof_j), where
-    cof_j is the product of the z_h with |h| >= 2 and j not in h, and is
-    symmetric in j.  So the last step turns its rows into leaves, Z and
-    the sorted pairs, and equal leaves merge with their multiplicity.
-    The distinct leaves expand over squarefree m into rows of sorted
-    (coeff, limit) pairs, at most _TORSOR_CAP rows at a time.  Equal rows
-    add up their weights in one dict per shard keyed by the row's bytes,
-    and after the search the distinct rows are popped from it and sent
-    to count_zero_sum_batch, _TORSOR_CAP rows a batch, so each is counted
-    once (rows whose weights cancel drop out there) and the memory of the
-    popped rows frees as they go.  The dict takes about 128 B a row, and
-    at n = 3 the rows grow about as X^2.3: 837,888 rows at X = 400 peaked
-    at 140 MB, and the budget's top, X = 668, would hold about 2.8M.
+    [1, Z], Z = X // y_n, closes in one divisor sum over squarefree m of
+    mu(m) * floor(Z/m) times a zero-sum count of x' in a box, with
+    coefficients cof_j * m / gcd(m, z_{2^{j-1}}); cof_j, the product of
+    the z_h with |h| >= 2 and j not in h, is P over y_j times the other
+    singletons.  So each leaf expands into rows of sorted (coeff, limit)
+    pairs, at most _TORSOR_CAP rows at a time.  Equal rows add up their
+    weights in one dict per shard keyed by the row's bytes; after the
+    search the rows are popped from it and sent to count_zero_sum_batch,
+    _TORSOR_CAP rows a batch, so each is counted once and the memory of
+    the popped rows frees as they go.  The dict takes about 128 B a row,
+    and at n = 3 the rows grow about as X^2.3: 837,888 rows at X = 400
+    peaked at 140 MB; the budget's top, X = 668, would hold about 2.8M.
 
-    Every entry of a search row is <= X < 2^15, so rows are int32, and
-    lcm(y) <= X^n.  Every field of a leaf or kernel row is packed into
-    int64: z_{2^j}, Z and every limit are <= X < 2^w, cof_j <= X^(n-1)
-    and a row coefficient cof_j * q is <= X^n, so a (coeff, limit) pair
-    needs (n + 1) w bits, which count_points checks (_packs_in_int64).
+    Every field but P is <= X, and P = lcm(y) <= X^n.  A kernel row packs
+    each (coeff, limit) pair, a limit <= X < 2^w and a coeff <= X^n, into
+    (n + 1) w bits of int64, which count_points checks (_packs_in_int64).
     """
-    width = 2 * n
-    batch = max(1, 12 * _TORSOR_CAP // width)
-    steps = []  # per level: the columns of y_j for j in h, and those v multiplies
+    fields = 2 * n + 1
+    batch = max(1, 12 * _TORSOR_CAP // fields)
+    steps = []  # per level: the y_j for j in h, the fields v multiplies, y_{j-1} or None
     for size in _weight_levels(n)[1:]:
         for _, mem in size:
             ys = np.array(mem) - 1
-            steps.append((ys, ys if len(ys) > 1 else np.array([ys[0], n + ys[0]])))
+            j = ys[0]
+            steps.append((ys, np.append(ys, fields - 1), None) if len(ys) > 1 else
+                         (ys, np.array([j, n + j, fields - 1]), j - 1 if j else None))
     w = X.bit_length()
-    cof_bits = (n - 1) * w
-    low, cof_mask = (1 << w) - 1, (1 << cof_bits) - 1
+    low = (1 << w) - 1
     mu = mobius_sieve(X)
     sqf = np.flatnonzero(mu)  # the squarefree m <= X, ascending
     sqf_mu = mu[sqf]
@@ -325,9 +328,7 @@ def _torsor_shard(n: int, X: int, shard: int, shards: int) -> int:
     rows: dict[bytes, int] = {}  # n sorted (coeff << w | limit), 0 if no limit
     row_type = np.dtype((np.void, 8 * n))
 
-    def expand(leaves: np.ndarray, mult: np.ndarray) -> None:
-        Z, pairs = leaves[:, 0], leaves[:, 1:]
-        v, c = pairs >> cof_bits, pairs & cof_mask
+    def expand(v: np.ndarray, cof: np.ndarray, Z: np.ndarray, mult: np.ndarray) -> None:
         b = X // v
         size = sqf_upto[Z]  # leaf i expands into size[i] rows
         lo = 0
@@ -335,46 +336,44 @@ def _torsor_shard(n: int, X: int, shard: int, shards: int) -> int:
             k, idx, pos = _spread(size[lo:], _TORSOR_CAP)
             idx += lo
             m = sqf[pos]
-            q = m[:, None] // np.gcd(m[:, None], v[idx])
-            lim = b[idx] // q
-            keys = np.where(lim > 0, c[idx] * q << w | lim, 0)
-            keys.sort(axis=1)
-            keys, wts = _distinct_rows(keys, mult[idx] * sqf_mu[pos] * (Z[idx] // m))
+            q = m // np.gcd(m, v[:, idx])
+            lim = b[:, idx] // q
+            keys, wts = _distinct_rows(
+                _sorted_columns(np.where(lim > 0, cof[:, idx] * q << w | lim, 0)),
+                mult[idx] * sqf_mu[pos] * (Z[idx] // m))
             nz = wts != 0
-            for key, wt in zip(keys[nz].view(row_type).ravel().tolist(), wts[nz].tolist()):
+            packed = np.ascontiguousarray(keys[:, nz].T).view(row_type).ravel()
+            for key, wt in zip(packed.tolist(), wts[nz].tolist()):
                 rows[key] = rows.get(key, 0) + wt
             lo += k
 
-    stack = [(0, np.ones((1, width), dtype=np.int32))]
+    stack = [(0, np.ones((fields, 1), dtype=np.int64))]
     while stack:
         i, z = stack.pop()
-        mem, cols = steps[i]
-        k, idx, rank = _spread(X // z[:batch, mem].max(axis=1), batch)
-        if k < len(z):
-            stack.append((i, z[k:].copy()))  # frees the rows taken
-        if i and len(idx) == k:  # every cap is 1: v = 1 leaves the rows as they are
-            z = z[:k]
+        mem, cols, prev = steps[i]
+        head = z[:, :batch]
+        y = head[mem]
+        start = 1 if prev is None else -(-head[prev] // y[0])
+        size = np.maximum(X // np.maximum.reduce(y) - start + 1, 0)
+        k, idx, rank = _spread(size, batch)
+        if k < z.shape[1]:
+            stack.append((i, z[:, k:].copy()))  # frees the rows taken
+        v = rank + (start if prev is None else start[idx])
+        if i and (v == 1).all():  # v = 1 leaves the rows as they are
+            z = head[:, idx]
         else:
-            y = z[:k, :n].astype(np.int64)
-            incomparable = np.lcm.reduce(y, axis=1) // np.gcd.reduce(y[:, mem], axis=1)
-            v = rank + 1
-            keep = np.gcd(v, incomparable[idx]) == 1
+            keep = np.gcd(v, (head[-1] // np.gcd.reduce(y))[idx]) == 1
             if not i:
                 keep &= v % shards == shard
-            z, v = z[idx[keep]], v[keep]
-            z[:, cols] *= v[:, None]
+            z, v = head[:, idx[keep]], v[keep]
+            z[cols] *= v
         if i + 1 < len(steps):
-            if len(z):
+            if z.shape[1]:
                 stack.append((i + 1, z))
             continue
-        y, single = z[:, :n].astype(np.int64), z[:, n:].astype(np.int64)
-        # the z's with |h| >= 2 multiply to lcm(y) / prod_j z_{2^{j-1}},
-        # and those containing j to y_j / z_{2^{j-1}}
-        big = np.lcm.reduce(y, axis=1) // single.prod(axis=1)
-        pairs = single << cof_bits | big[:, None] * single // y
-        pairs.sort(axis=1)
-        leaves = np.column_stack([X // y.max(axis=1), pairs])
-        expand(*_distinct_rows(leaves, np.ones(len(z), dtype=np.int64)))
+        y, single = z[:n], z[n:-1]
+        expand(single, z[-1] // np.multiply.reduce(single) * single // y,
+               X // y[-1], _multiplicities(y.T))
     total = 0
     while rows:  # popped _TORSOR_CAP at a time, so the rows free as they go
         keys, wts = zip(*(rows.popitem() for _ in range(min(len(rows), _TORSOR_CAP))))

@@ -249,6 +249,11 @@ def test_sorted_columns_match_np_sort(m):
     x = np.concatenate(rows)
     got = np.column_stack(constants._sorted_columns(x.T))
     assert got.tobytes() == np.sort(x, axis=1).tobytes()
+    # integer columns stay integers (the torsor sorts its packed kernel rows)
+    ints = rng.integers(-(1 << 62), 1 << 62, size=(60, m))
+    ints[:20] %= 3
+    got = np.column_stack(constants._sorted_columns(ints.T))
+    assert got.dtype == np.int64 and np.array_equal(got, np.sort(ints, axis=1))
 
 
 def test_cube_slab_vectorized_matches_exact():

@@ -173,13 +173,8 @@ def test_torsor_default_cap_counts():
         assert count_points(n, B, "torsor").count == expect
 
 
-@pytest.mark.parametrize("cap", [1, 2, 3])
-@pytest.mark.parametrize("n, B, expect", _FLUSH_CASES)
-def test_torsor_counts_survive_tiny_flush_caps(monkeypatch, cap, n, B, expect):
-    # a cap this small steps through search batches of a few rows, expands
-    # a few kernel rows at a time and sends the row dict to the kernel a
-    # few rows per batch; a row that recurs across the expansions still
-    # reaches the kernel once, in one batch
+def _spy_kernel(monkeypatch):
+    """The rows and the batch sizes the torsor sends to the batched kernel."""
     rows, batches = [], []
     kernel = counting.count_zero_sum_batch
 
@@ -188,8 +183,19 @@ def test_torsor_counts_survive_tiny_flush_caps(monkeypatch, cap, n, B, expect):
         rows.extend(zip(map(tuple, coeffs.tolist()), map(tuple, limits.tolist())))
         return kernel(coeffs, limits, weights)
 
-    monkeypatch.setattr(counting, "_TORSOR_CAP", cap)
     monkeypatch.setattr(counting, "count_zero_sum_batch", spy)
+    return rows, batches
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+@pytest.mark.parametrize("n, B, expect", _FLUSH_CASES)
+def test_torsor_counts_survive_tiny_flush_caps(monkeypatch, cap, n, B, expect):
+    # a cap this small steps through search batches of a few rows, expands
+    # a few kernel rows at a time and sends the row dict to the kernel a
+    # few rows per batch; a row that recurs across the expansions still
+    # reaches the kernel once, in one batch
+    rows, batches = _spy_kernel(monkeypatch)
+    monkeypatch.setattr(counting, "_TORSOR_CAP", cap)
     assert count_points(n, B, "torsor").count == expect
     assert len(batches) > 1 and max(batches) <= cap
     assert len(rows) == len(set(rows))
@@ -262,25 +268,64 @@ def test_every_admitted_count_packs_into_int64():
     np.empty((0, 3), dtype=np.int64),
 ])
 def test_distinct_rows_matches_np_unique(rows):
-    keys, mult = counting._distinct_rows(rows, np.ones(len(rows), dtype=np.int64))
+    # the rows go in field by field and come out as columns
+    keys, mult = counting._distinct_rows(list(rows.T), np.ones(len(rows), dtype=np.int64))
     expect, counts = np.unique(rows, axis=0, return_counts=True)
-    assert np.array_equal(keys, expect) and np.array_equal(mult, counts)
+    assert np.array_equal(keys.T, expect) and np.array_equal(mult, counts)
     weights = np.arange(1, len(rows) + 1) * (-1) ** np.arange(len(rows))
     sums: dict[tuple, int] = {}
     for row, wt in zip(map(tuple, rows.tolist()), weights.tolist()):
         sums[row] = sums.get(row, 0) + wt
-    keys, summed = counting._distinct_rows(rows, weights)
-    assert dict(zip(map(tuple, keys.tolist()), summed.tolist())) == sums
+    keys, summed = counting._distinct_rows(rows.T, weights)
+    assert dict(zip(map(tuple, keys.T.tolist()), summed.tolist())) == sums
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_multiplicities_count_distinct_permutations(n):
+    rng = np.random.default_rng(n)
+    rows = np.sort(rng.integers(1, 4, size=(12 if n < 8 else 4, n)), axis=1)  # ties
+    rows[0] = np.arange(1, n + 1)
+    expect = [len(set(itertools.permutations(row))) for row in rows.tolist()]
+    assert counting._multiplicities(rows).tolist() == expect
+
+
+@pytest.mark.parametrize("n, X, leaves, weight", [(3, 12, 287, 1447), (4, 6, 106, 1199)])
+def test_torsor_walks_one_tuple_per_orbit(monkeypatch, n, X, leaves, weight):
+    # every leaf of the search is a primitive y (its top z, gcd(y), is
+    # left to the divisor sum), sorted, and stands for its S_n orbit
+    grid = [y for y in itertools.product(range(1, X + 1), repeat=n) if math.gcd(*y) == 1]
+    assert (leaves, weight) == (sum(list(y) == sorted(y) for y in grid), len(grid))
+    seen = []
+    mult = counting._multiplicities
+
+    def spy(y):
+        assert (np.diff(y, axis=1) >= 0).all()
+        seen.append(mult(y))
+        return seen[-1]
+
+    monkeypatch.setattr(counting, "_multiplicities", spy)
+    count_points(n, X ** n, "torsor")
+    assert sum(map(len, seen)) == leaves and sum(int(m.sum()) for m in seen) == weight
+
+
+@pytest.mark.parametrize("n, B, sent", [(3, 2e5, 8850), (4, 1.6e5, 4139)])
+def test_torsor_sends_each_kernel_row_once(monkeypatch, n, B, sent):
+    # weighting one tuple per orbit changes the weights of the kernel
+    # rows, not the rows: the full enumeration sent these numbers too
+    rows, _ = _spy_kernel(monkeypatch)
+    count_points(n, B, "torsor")
+    assert len(set(rows)) == len(rows) == sent
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(n=st.sampled_from([3, 4, 5, 6]), X=st.integers(0, 12), extra=st.integers(0, 10 ** 6),
-       cap=st.integers(1, 64))
-def test_torsor_matches_direct_under_any_cap(n, X, extra, cap):
+       cap=st.integers(1, 64), shards=st.integers(1, 3))
+def test_torsor_matches_direct_under_any_cap(n, X, extra, cap, shards):
+    # the first-level shard filter and the orbit's lower bounds meet under every cap
     X = min(X, {3: 12, 4: 6, 5: 5, 6: 2}[n])  # n = 6 walks 62 levels
     B = X ** n + extra % ((X + 1) ** n - X ** n)  # X = floor(B^(1/n))
     expect = count_points(n, B, "direct").count
     with patch.object(counting, "_TORSOR_CAP", cap):
-        assert count_points(n, B, "torsor").count == expect
+        assert count_points(n, B, "torsor", shards=shards).count == expect
     if X ** n * (2 * X + 1) ** n <= 10 ** 5:  # the grid oracle's size
         assert brute_count_points(n, B) == expect
