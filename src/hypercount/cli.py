@@ -224,19 +224,17 @@ def _cmd_constant(args: argparse.Namespace) -> dict:
 
 
 def _cmd_polytope(args: argparse.Namespace) -> dict:
-    out: dict[str, Any] = {
-        "command": "polytope", "n": args.n, "method": args.method,
-        "dimension": (1 << args.n) - args.n - 1,
-    }
     if args.method == "exact":
         vol = constants.polytope_volume(args.n, "exact")
-        out.update({"volume": vol, "volume_float": float(vol)})
+        result = {"volume": vol, "volume_float": float(vol)}
     else:
         samples = _int_param(args.samples, "sample count")
         est = constants.polytope_volume(args.n, "mc", samples, args.seed)
-        out.update({"volume": est.value, "standard_error": est.standard_error,
-                    "samples": est.samples, "seed": est.seed})
-    return out
+        result = {"volume": est.value, "standard_error": est.standard_error,
+                  "samples": est.samples, "seed": est.seed}
+    # the dimension is formed only for an n that polytope_volume admitted
+    return {"command": "polytope", "n": args.n, "method": args.method,
+            "dimension": (1 << args.n) - args.n - 1, **result}
 
 
 def _cmd_toric(args: argparse.Namespace) -> dict:

@@ -416,6 +416,8 @@ def _exact_volume_n3() -> Fraction:
 def polytope_volume(n: int, method: str = "exact",
                     samples: int = 10 ** 7, seed: int = 0) -> Fraction | MCEstimate:
     """Volume of the constraint polytope inside [0,1]^{2^n - n - 1}."""
+    if n < 3:
+        raise ContractViolation("n must be >= 3")
     if method == "exact":
         if n != 3:
             raise ResourceLimit("exact integration implemented for n = 3 only")

@@ -13,24 +13,23 @@ exactly, and evaluates the continuous main term X^{n-1} b / d_1 where b
 is the volume of the slab {alpha in [-1,1]^{n-1} : |sum_{i>=2} d_i
 alpha_i| <= d_1}.  Every count comes down to the count of boxes
 #{w : sum c_i w_i = 0, |w_i| <= L_i}; A_r(X) becomes one by an extra
-coordinate for the multiple of joint(r).  Three coordinates close in
-closed form, two by a progression count and the third by floor sums
-(``_floor_sum``), so a box with three active coordinates needs no
-enumeration at all.
+coordinate for the multiple of joint(r) (``congruence_box``).
 
-``count_zero_sum_batch`` counts many boxes at once, with weights, over
-int64 arrays: a box closes a triple, steps one coordinate through the
-residue class that can solve each cell of the others, and takes half
-of that grid by symmetry.  Boxes past its int64 guard, and single boxes
-with small grids, take ``_exact_count`` in Python integers.
+``count_zero_sum_rows`` counts many boxes at once, one count per row,
+and is the only closed form here.  A box closes a triple in floor sums
+(see ``_triple_terms``), so a box with three active coordinates needs
+no enumeration at all; it steps one more coordinate through the residue
+class that can solve each cell of the others, and takes half of that
+grid by symmetry.  Rows inside its int64 guard run on int64 arrays and
+the others on arrays of Python ints, through the same steps.
+``count_zero_sum_batch`` is the weighted sum of the counts, and
+``count_zero_sum_boxes`` a batch of one row.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -40,7 +39,8 @@ import numpy as np
 from .errors import ContractViolation
 from .factorization import bit, dimension_of, is_reduced
 
-# numpy paths stay in int64; anything bigger falls back to exact Python ints
+# the int64 guard of the batch (see _fits_int64_vec); rows past it run on
+# Python ints
 _VEC_LIMIT = 1 << 60
 
 
@@ -147,153 +147,49 @@ def solution_main_term(z: Sequence[int], X: int) -> Fraction:
     return Fraction(X) ** (n - 1) * tuple_slab_volume(z) / co.d[0]
 
 
-# --------------------------- progression counts ---------------------------
-
-def _pair_count_scalar(a: int, La: int, b: int, Lb: int, s: int) -> int:
-    """#{(u, v) : a u + b v = s, |u| <= La, |v| <= Lb} with a, b >= 1."""
-    g = math.gcd(a, b)
-    if s % g:
-        return 0
-    a_, b_, s_ = a // g, b // g, s // g
-    u0 = (s_ % b_) * pow(a_ % b_, -1, b_) % b_ if b_ > 1 else 0
-    lo = max(-La, -((b * Lb - s) // a))
-    hi = min(La, (s + b * Lb) // a)
-    return max(0, (hi - u0) // b_ - (lo - u0 - 1) // b_)  # u == u0 mod b_ in [lo, hi]
-
-
-def _floor_sum(n: int, m: int, a: int, b: int) -> int:
-    """sum_{i=0}^{n-1} floor((a i + b) / m) for n >= 0, m >= 1 and any
-    integers a, b: the ``floor_sum`` of the AtCoder Library, in O(log m)
-    Euclid-like steps.  The first step moves the integer parts of a/m and
-    b/m out of the sum, which also makes a negative a or b nonnegative."""
-    total = 0
-    while True:
-        qa, a = divmod(a, m)
-        qb, b = divmod(b, m)
-        total += n * (n - 1) // 2 * qa + n * qb
-        top = a * n + b
-        if top < m:
-            return total
-        n, b = divmod(top, m)
-        m, a = a, m
-
-
-def _line_sum(t0: int, t1: int, A: int, B: int, M: int) -> int:
-    """sum_{t=t0}^{t1} floor((A t + B) / M), 0 when t1 < t0."""
-    return _floor_sum(t1 - t0 + 1, M, A, A * t0 + B) if t1 >= t0 else 0
-
-
-def _triple_count(a: int, La: int, b: int, Lb: int, c: int, Lc: int, s: int) -> int:
-    """#{(u, v, w) : a u + b v + c w = s, |u| <= La, |v| <= Lb, |w| <= Lc}
-    with a, b, c >= 1, in O(log) steps and no enumeration.
-
-    The pair count of (u, v) for one w needs g = gcd(a, b) to divide
-    s - c w, so w = w0 + g' t with g' = g / gcd(g, c).  Along t the
-    residue of u is sigma + alpha t modulo b/g, and any representative
-    works in floor((hi - u0)/(b/g)) - floor((lo - 1 - u0)/(b/g)), so the
-    modular reduction drops out.  On the t where some (u, v) fits at
-    all, |s - c w| <= a La + b Lb, the bound hi is La up to one t and
-    floor((s - c w + b Lb)/a) after it, lo is ceil((s - c w - b Lb)/a)
-    up to one t and -La after it, and the nested floors merge
-    (floor(floor(p/a)/m) = floor(p/(a m))).  That leaves four floor sums
-    over t-intervals.
-    """
-    g = math.gcd(a, b)
-    g1 = math.gcd(g, c)
-    if s % g1:
-        return 0
-    gp, cq, bq = g // g1, c // g1, b // g
-    w0 = s // g1 % gp * pow(cq % gp, -1, gp) % gp
-    E = s - c * w0  # s - c w = E - D t, and g divides E
-    D = c * gp
-    inv = pow(a // g % bq, -1, bq)
-    sigma = E // g % bq * inv % bq
-    alpha = -cq * inv % bq
-    R = a * La + b * Lb
-    w_lo = max(-Lc, -((R - s) // c))
-    w_hi = min(Lc, (s + R) // c)
-    t0 = -((w0 - w_lo) // gp)
-    t1 = (w_hi - w0) // gp
-    T_hi = (E + b * Lb - a * La) // D  # hi = La exactly for t <= T_hi
-    T_lo = -((b * Lb - a * La - E) // D)  # lo = -La exactly for t >= T_lo
-    slope = -(D + a * alpha)
-    M = a * bq
-    return (_line_sum(t0, min(t1, T_hi), -alpha, La - sigma, bq)
-            + _line_sum(max(t0, T_hi + 1), t1, slope, E + b * Lb - a * sigma, M)
-            - _line_sum(t0, min(t1, T_lo - 1), slope, E - b * Lb - 1 - a * sigma, M)
-            - _line_sum(max(t0, T_lo), t1, -alpha, -La - 1 - sigma, bq))
-
-
-# Cells of count_zero_sum_batch per vectorized batch, about 0.4 KB each at
-# the peak of the kernel.  Over 30 passes of the three counts at n = 4,
-# B = 1.6e5 in one process on a 2-vCPU x86 host, the peak RSS reached
-# 33.5, 32.9 and 32.7 MB with batches of 2^11, 2^10 and 2^9 cells, and a
-# pass took 0.27-0.31 s with each (three runs of each size).
+# Cells of the batch per vectorized step, about 0.4 KB each at the peak
+# of the kernel, and rows whose closed-form terms are worked out at a
+# time.  Over 30 passes of the three counts at n = 4, B = 1.6e5 in one
+# process on a 2-vCPU x86 host, the peak RSS reached 34.2-34.3,
+# 33.5-33.8 and 33.6 MB with 2^11, 2^10 and 2^9, and the median pass
+# took 0.11-0.16 s with each (three runs of each size).
 _CHUNK = 1 << 10
-
-# A single box whose outer grid has fewer cells is counted in Python
-# integers: on a 2-vCPU x86 host a cell of _exact_count took 4-15 us and a
-# one-row batch about 0.3-0.6 ms plus about 1 us a cell, so the two met
-# near 40-50 cells.
-_EXACT_CELLS = 64
-
-
-def _active_pairs(coeffs: Sequence[int], limits: Sequence[int]) -> list[tuple[int, int]]:
-    """Validated (L, c) pairs with L > 0, sorted so the two largest boxes
-    come last."""
-    if len(coeffs) != len(limits):
-        raise ContractViolation("coefficient/limit length mismatch")
-    if len(coeffs) and (min(coeffs) < 1 or min(limits) < 0):
-        raise ContractViolation("coefficients must be >= 1 and limits >= 0")
-    pairs = sorted(zip(limits, coeffs))
-    return pairs[bisect.bisect_left(pairs, (1,)):]
-
-
-def _exact_count(active: list[tuple[int, int]]) -> int:
-    """The zero-sum count of validated (L, c) pairs (see ``_active_pairs``)
-    with exact Python integers: the three largest boxes close in
-    ``_triple_count`` (two in the pair count when only two are active)
-    and the others are enumerated one cell at a time."""
-    if len(active) <= 1:
-        return 1  # only the zero vector
-    if len(active) == 2:
-        (Lb, b), (La, a) = active
-        return _pair_count_scalar(a, La, b, Lb, 0)
-    (Lc, c), (Lb, b), (La, a) = active[-3:]
-    outer = active[:-3]
-    if not outer:  # every n = 3 box: skip the product's per-call set-up
-        return _triple_count(a, La, b, Lb, c, Lc, 0)
-    total = 0
-    for combo in itertools.product(*(range(-L, L + 1) for L, _ in outer)):
-        s = -sum(cw * w for (_, cw), w in zip(outer, combo))
-        total += _triple_count(a, La, b, Lb, c, Lc, s)
-    return total
 
 
 # --------------------------- batched closed form ---------------------------
 
+def _divmod(x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.divmod, which has no loop for Python ints (object arrays)."""
+    return (x // m, x % m) if x.dtype == object else np.divmod(x, m)
+
+
 def _floor_sum_vec(n: np.ndarray, m: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``_floor_sum`` over int64 arrays, one sum per row: the same steps,
-    with each row leaving the loop once it finishes."""
-    total = np.zeros(len(n), dtype=np.int64)
+    """sum_{i=0}^{n-1} floor((a i + b) / m) for n >= 0, m >= 1 and any
+    integers a, b, one sum per row of int64 or Python-int arrays: the
+    ``floor_sum`` of the AtCoder Library, in O(log m) Euclid-like steps,
+    with each row leaving the loop once it finishes.  The first step
+    moves the integer parts of a/m and b/m out of the sum, which also
+    makes a negative a or b nonnegative."""
+    total = np.zeros_like(n)
     idx = np.arange(len(n))
     while True:
-        qa, a = np.divmod(a, m)
-        qb, b = np.divmod(b, m)
+        qa, a = _divmod(a, m)
+        qb, b = _divmod(b, m)
         total[idx] += (n * (n - 1) >> 1) * qa + n * qb
         top = a * n + b
         go = top >= m
         idx, m, a, top = idx[go], m[go], a[go], top[go]
         if not len(idx):
             return total
-        n, b = np.divmod(top, m)
+        n, b = _divmod(top, m)
         m, a = a, m
 
 
 def _inverse_vec(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """x^-1 mod m over int64 arrays with gcd(x, m) = 1 (0 where m = 1), by
-    the extended Euclidean algorithm, each row leaving once it finishes."""
-    out = np.zeros(len(m), dtype=np.int64)
+    """x^-1 mod m over int64 or Python-int arrays with gcd(x, m) = 1 (0
+    where m = 1), by the extended Euclidean algorithm, each row leaving
+    once it finishes."""
+    out = np.zeros_like(m)
     idx = np.arange(len(m))
     r0, r1 = m, x % m  # invariant: r_i == t_i x (mod m)
     t0, t1 = np.zeros_like(m), np.ones_like(m)
@@ -311,9 +207,23 @@ def _inverse_vec(x: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def _triple_terms(a, La, b, Lb, c, Lc) -> np.ndarray:
-    """The terms of ``_triple_count`` that depend on the box alone, over
-    int64 arrays of boxes, as the rows of one array (named in
-    ``_triple_line_sums``)."""
+    """The terms of the triple count that depend on the box alone, over
+    arrays of boxes, as the rows of one array (named in
+    ``_triple_line_sums``).
+
+    The triple count #{(u, v, w) : a u + b v + c w = s, |u| <= La,
+    |v| <= Lb, |w| <= Lc} with a, b, c >= 1 takes O(log) steps and no
+    enumeration.  The pair count of (u, v) for one w needs g = gcd(a, b)
+    to divide s - c w, so g1 = gcd(g, c) must divide s, and then
+    w = w0 + g' t with g' = g / g1.  Along t the residue of u is
+    sigma + alpha t modulo b/g, and any representative u0 works in
+    floor((hi - u0)/(b/g)) - floor((lo - 1 - u0)/(b/g)), so the modular
+    reduction drops out.  On the t where some (u, v) fits at all,
+    |s - c w| <= a La + b Lb, the bound hi is La up to one t and
+    floor((s - c w + b Lb)/a) after it, lo is ceil((s - c w - b Lb)/a)
+    up to one t and -La after it, and the nested floors merge
+    (floor(floor(p/a)/m) = floor(p/(a m))).  That leaves four floor sums
+    over t-intervals."""
     g = np.gcd(a, b)
     g1 = np.gcd(g, c)
     gp, cq, bq = g // g1, c // g1, b // g
@@ -325,19 +235,23 @@ def _triple_terms(a, La, b, Lb, c, Lc) -> np.ndarray:
 
 
 def _triple_count_vec(T: np.ndarray, row: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """``_triple_count`` over int64 arrays, one count per cell, from the
-    ``_triple_terms`` T of the boxes, the box of each cell and its target
-    s, which gcd(a, b, c) must divide; all floor sums run as one call."""
+    """The triple count of each cell, from the ``_triple_terms`` T of the
+    boxes, the box of each cell and its target s, which gcd(a, b, c) must
+    divide; all floor sums run as one call."""
     sums = _floor_sum_vec(*_triple_line_sums(T[:, row], s)).reshape(4, -1)
     return sums[0] + sums[1] - sums[2] - sums[3]
 
 
 def _triple_line_sums(T: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The arguments (n, m, a, b) of the four floor sums of
-    ``_triple_count``, stacked, for cells with box terms T: the same
-    steps, with the w range clipped to [-Lc - 1, Lc + 1] so every t stays
-    small and the split points clipped into [t0 - 1, t1 + 1]; only the
-    stacked arguments outlive the call."""
+    """The arguments (n, m, a, b) of the four floor sums of the triple
+    count (see ``_triple_terms``), stacked, for cells with box terms T.
+
+    w0 is the class of w mod g' that can solve the pair, s - c w = E - D t
+    with D = c g', sigma is the residue of u at t = 0, hi = La exactly
+    for t <= T_hi and lo = -La exactly for t >= T_lo.  The w range is
+    clipped to [-Lc - 1, Lc + 1] so every t stays small and the split
+    points are clipped into [t0 - 1, t1 + 1]; only the stacked arguments
+    outlive the call."""
     bq, M, alpha, D, La, bL, R, bLaL, slope, g1, gp, inv_c, c, g, inv, Lc, a = T
     w0 = s // g1 % gp * inv_c % gp
     E = s - c * w0  # s - c w = E - D t, and g divides E
@@ -357,7 +271,8 @@ def _triple_line_sums(T: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _fits_int64_vec(C: np.ndarray, L: np.ndarray) -> np.ndarray:
-    """Batch rows (prefix, x, closed triple by limit) whose cells fit int64.
+    """Batch rows (prefix, x, closed triple by limit) whose cells and
+    count fit int64.
 
     Let K be the largest closed coefficient, Lc the smallest closed limit,
     S = sum c_i L_i over the row and G = (K^2 + S + (K + Lc)(Lc + 3))
@@ -369,13 +284,18 @@ def _fits_int64_vec(C: np.ndarray, L: np.ndarray) -> np.ndarray:
     is below K^2.  Every intermediate, the floor sums' totals included,
     stays below about 4 G, and G < 2^60 keeps them below 2^63.  A row
     with a coefficient or limit of 2^28 or more, or over 64 pairs, is
-    refused first, so no term of G passes 2^58 in int64."""
+    refused first, so no term of G passes 2^58 in int64.  The count of a
+    row is at most the number of cells of all its columns but the last,
+    which must stay below 2^62."""
     cap = 1 << 28
     small = (C < cap).all(axis=1) & (L < cap).all(axis=1) & (C.shape[1] <= 64)
     C, L = np.minimum(C, cap), np.minimum(L, cap)
     K, Lc = C[:, -3:].max(axis=1), L[:, -3]
     inner = K * K + (C * L).sum(axis=1) + (K + Lc) * (Lc + 3)
-    return small & (inner <= (_VEC_LIMIT - 1) // (2 * Lc + 4))
+    fits = small & (inner <= (_VEC_LIMIT - 1) // (2 * Lc + 4))
+    if C.shape[1] > 3:  # a row of three counts at most (2 L + 1)^2 < 2^58
+        fits &= (2.0 * L[:, :-1] + 1).prod(axis=1) < 2.0 ** 62
+    return fits
 
 
 def _stepped_order(C: np.ndarray, L: np.ndarray) -> np.ndarray:
@@ -396,25 +316,77 @@ def _stepped_order(C: np.ndarray, L: np.ndarray) -> np.ndarray:
     return np.where(np.arange(m) == m - 4, x, q + (q >= x))
 
 
-def count_zero_sum_batch(coeffs: np.ndarray, limits: np.ndarray,
-                         weights: np.ndarray) -> int:
-    """sum_r weights[r] * count_zero_sum_boxes(coeffs[r], limits[r]) over
-    the rows of int64 arrays of shape (rows, m), exactly; |weights| must
-    stay below 2^62, and a coefficient >= 1 where its limit is > 0.
+def _cell_counts(C: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """The zero-sum count of each row of C and L, arranged by
+    ``_stepped_order`` as prefix, stepped x and closed triple, on int64
+    arrays or on Python ints alike.
+
+    A cell (prefix w, x) with prefix sum p is solvable only when
+    g1 | p + c_x x: when e = gcd(c_x, g1) divides p and x lies in one
+    class mod h = g1 / e, so only those x are taken.  The count is even
+    in s, so the first half of the prefix grid takes every x, doubled,
+    and its centre x = 0 once and x = h, 2h, ... doubled.  At most
+    ``_CHUNK`` cells go through ``_triple_count_vec`` at a time."""
+    T = _triple_terms(C[:, -1], L[:, -1], C[:, -2], L[:, -2], C[:, -3], L[:, -3])
+    one = np.ones_like(C[:, 0])
+    cx, Lx = (C[:, -4], L[:, -4]) if C.shape[1] > 3 else (one, 0 * one)
+    radix = 2 * L[:, :-4] + 1
+    h = T[9] // (e := np.gcd(cx, T[9]))
+    span = 2 * Lx // h + 1  # the most x of one class in [-Lx, Lx]
+    before = ((radix.prod(axis=1) - 1) >> 1) * span  # cells before the centre
+    size = before + Lx // h + 1
+    end, cells = size.cumsum(), int(size.sum())
+    rows = [end - size, before, h, cx]
+    if radix.shape[1]:  # for the class of x in a prefix cell, and the prefix's offset
+        rows += [span, e, _inverse_vec(cx // e % h, h), Lx, -(C * L)[:, :-4].sum(axis=1)]
+    rows = np.array(rows)
+    counts = 0 * one
+    for lo in range(0, cells, _CHUNK):
+        cell = np.arange(lo, min(lo + _CHUNK, cells))
+        row = end.searchsorted(cell, "right")
+        first, before_r, h_r, c_r, *prefix = rows[:, row]
+        rank = cell - first
+        twice = rank != before_r  # doubled but x = 0 at the centre
+        x, p = rank * h_r, 0
+        if prefix:  # a prefix cell before the centre takes its x class
+            span_r, e_r, inv_r, L_r, p = prefix  # p: the prefix's part of s
+            k, j = _divmod(rank, span_r)
+            for c, r in zip(C[row, :-4].T[::-1], radix[row].T[::-1]):
+                k, digit = _divmod(k, r)
+                p += c * digit
+            x0 = -(p // e_r % h_r) * inv_r % h_r
+            x = j * h_r + np.where(rank < before_r, (x0 + L_r) % h_r - L_r, 0)
+            ok = (x <= L_r) & (p % e_r == 0)
+            row, x, p, c_r, twice = row[ok], x[ok], p[ok], c_r[ok], twice[ok]
+        np.add.at(counts, row, _triple_count_vec(T, row, -(p + c_r * x)) << twice)
+    return counts
+
+
+# Python ints in an object array, whatever integer type the entries had
+_py_ints = np.frompyfunc(int, 1, 1)
+
+
+def _int_array(v) -> np.ndarray:
+    """v as an int64 array, or as Python ints when some entry passes int64."""
+    try:
+        return np.asarray(v, dtype=np.int64)
+    except OverflowError:
+        return _py_ints(np.asarray(v, dtype=object))
+
+
+def count_zero_sum_rows(coeffs, limits) -> np.ndarray:
+    """count_zero_sum_boxes(coeffs[r], limits[r]) for every row r of two
+    integer arrays of shape (rows, m), with a coefficient >= 1 where its
+    limit is > 0: an int64 array, or Python ints when some row is past
+    the int64 guard.
 
     Each row is sorted by limit, padded to three pairs (a row of three
-    has an inactive x), split by ``_stepped_order``, and its terms
-    (``_triple_terms``) worked out once.  A cell (prefix w, x) with prefix
-    sum p is solvable only when g1 | p + c_x x: when e = gcd(c_x, g1)
-    divides p and x lies in one class mod h = g1 / e, so only those x are
-    taken.  The count is even in s, so the first half of the prefix grid
-    takes every x, doubled, and its centre x = 0 once and x = h, 2h, ...
-    doubled.  At most ``_CHUNK`` cells go through ``_triple_count_vec`` at
-    a time; rows past ``_fits_int64_vec`` go one at a time to ``_exact_count``."""
-    C, L, wt = (np.asarray(v, dtype=np.int64) for v in (coeffs, limits, weights))
-    if C.ndim != 2 or C.shape != L.shape or wt.shape != C.shape[:1]:
-        raise ContractViolation("need coefficient and limit rows of one shape "
-                                "and one weight per row")
+    has an inactive x) and split by ``_stepped_order``.  The rows that
+    pass ``_fits_int64_vec`` are counted by ``_cell_counts`` on int64
+    arrays, the others by the same steps on Python ints."""
+    C, L = _int_array(coeffs), _int_array(limits)
+    if C.ndim != 2 or C.shape != L.shape:
+        raise ContractViolation("need coefficient and limit rows of one shape")
     if (L < 0).any() or (C[L > 0] < 1).any():
         raise ContractViolation("coefficients must be >= 1 and limits >= 0")
     order = np.argsort(L, axis=1, kind="stable")
@@ -426,63 +398,34 @@ def count_zero_sum_batch(coeffs: np.ndarray, limits: np.ndarray,
     elif C.shape[1] > 3:
         order = _stepped_order(C, L)
         C, L = np.take_along_axis(C, order, axis=1), np.take_along_axis(L, order, axis=1)
-    live, fits = wt != 0, _fits_int64_vec(C, L)
-    total = sum(w * _exact_count(sorted((l, c) for l, c in zip(Lr, Cr) if l > 0))
-                for Cr, Lr, w in zip(*(v[live & ~fits].tolist() for v in (C, L, wt))))
-    C, L, wt = C[live & fits], L[live & fits], wt[live & fits]
-    T = _triple_terms(C[:, -1], L[:, -1], C[:, -2], L[:, -2], C[:, -3], L[:, -3])
-    cx, Lx = (C[:, -4], L[:, -4]) if C.shape[1] > 3 else (np.ones_like(wt), 0 * wt)
-    radix = 2 * L[:, :-4] + 1
-    h = T[9] // (e := np.gcd(cx, T[9]))
-    span = 2 * Lx // h + 1  # the most x of one class in [-Lx, Lx]
-    before = ((radix.prod(axis=1) - 1) >> 1) * span  # cells before the centre
-    size = before + Lx // h + 1
-    end, cells = size.cumsum(), int(size.sum())
-    rows = [end - size, before, h, cx, wt]
-    if radix.shape[1]:  # for the class of x in a prefix cell, and the prefix's offset
-        rows += [span, e, _inverse_vec(cx // e % h, h), Lx, -(C * L)[:, :-4].sum(axis=1)]
-    rows = np.array(rows)
-    # a triple count is at most (2 Lb + 1)(2 Lc + 1): u is fixed by v, w
-    most = 2 * int(np.abs(wt).max(initial=0)) * int(
-        ((2 * L[:, -2] + 1) * (2 * L[:, -3] + 1)).max(initial=0))
-    for lo in range(0, cells, _CHUNK):
-        cell = np.arange(lo, min(lo + _CHUNK, cells))
-        row = end.searchsorted(cell, "right")
-        first, before_r, h_r, c_r, w, *prefix = rows[:, row]
-        rank = cell - first
-        w <<= rank != before_r  # doubled but x = 0 at the centre
-        x, p = rank * h_r, 0
-        if prefix:  # a prefix cell before the centre takes its x class
-            span_r, e_r, inv_r, L_r, p = prefix  # p: the prefix's part of s
-            k, j = np.divmod(rank, span_r)
-            for c, r in zip(C[row, :-4].T[::-1], radix[row].T[::-1]):
-                k, digit = np.divmod(k, r)
-                p += c * digit
-            x0 = -(p // e_r % h_r) * inv_r % h_r
-            x = j * h_r + np.where(rank < before_r, (x0 + L_r) % h_r - L_r, 0)
-            ok = (x <= L_r) & (p % e_r == 0)
-            row, x, p, w, c_r = row[ok], x[ok], p[ok], w[ok], c_r[ok]
-        counts = _triple_count_vec(T, row, -(p + c_r * x))
-        if most * len(w) < 1 << 63:
-            total += int((w * counts).sum())
-        else:
-            total += sum(map(operator.mul, w.tolist(), counts.tolist()))
-    return total
+    fits = _fits_int64_vec(C, L)
+    parts = [(part, ints(C[part]), ints(L[part])) for part, ints in (
+        (fits, lambda v: v.astype(np.int64, copy=False)), (~fits, _py_ints)) if part.any()]
+    del C, L, order  # only the parts' copies stay alive while they are counted
+    counts = np.zeros(len(fits), dtype=np.int64 if fits.all() else object)
+    for part, C, L in parts:  # the box terms of at most _CHUNK rows at a time
+        counts[part] = np.concatenate([_cell_counts(C[lo:lo + _CHUNK], L[lo:lo + _CHUNK])
+                                       for lo in range(0, len(C), _CHUNK)])
+    return counts
+
+
+def count_zero_sum_batch(coeffs: np.ndarray, limits: np.ndarray,
+                         weights: np.ndarray) -> int:
+    """sum_r weights[r] * count_zero_sum_boxes(coeffs[r], limits[r]) over
+    the rows of ``count_zero_sum_rows``, with int64 weights, exactly."""
+    counts = count_zero_sum_rows(coeffs, limits)
+    wt = np.asarray(weights, dtype=np.int64)
+    if wt.shape != counts.shape:
+        raise ContractViolation("need one weight per row")
+    if int(counts.max(initial=0)) * int(np.abs(wt).max(initial=0)) * len(wt) >= 1 << 63:
+        counts = counts.astype(object)  # the dot in Python ints
+    return int(counts @ wt)
 
 
 def count_zero_sum_boxes(coeffs: Sequence[int], limits: Sequence[int]) -> int:
-    """#{w in Z^m : sum c_i w_i = 0, |w_i| <= L_i} for positive coefficients.
-
-    A box with fewer than ``_EXACT_CELLS`` cells outside its three largest
-    active boxes (L_i > 0), or with sum c_i L_i of 2^60 or more, is counted
-    by ``_exact_count`` in Python integers, and any other box as one row
-    of weight 1 for ``count_zero_sum_batch``."""
-    active = _active_pairs(coeffs, limits)
-    if (math.prod(2 * L + 1 for L, _ in active[:-3]) < _EXACT_CELLS
-            or sum(itertools.starmap(operator.mul, active)) >= _VEC_LIMIT):
-        return _exact_count(active)
-    row = np.array(active, dtype=np.int64).reshape(1, -1, 2)  # (L, c) pairs
-    return count_zero_sum_batch(row[..., 1], row[..., 0], np.ones(1, dtype=np.int64))
+    """#{w in Z^m : sum c_i w_i = 0, |w_i| <= L_i} for positive
+    coefficients: one row of ``count_zero_sum_rows``."""
+    return int(count_zero_sum_rows([coeffs], [limits])[0])
 
 
 def count_zero_sum(d: Sequence[int], X: int) -> int:
@@ -498,6 +441,14 @@ def count_solutions(z: Sequence[int], X: int) -> int:
     return count_zero_sum(co.d, X)
 
 
+def congruence_box(co: LatticeCoefficients, r: int,
+                   X: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The zero-sum box of A_r(X) (see ``count_congruence``): coefficients
+    d_{r+1}, ..., d_n and q = joint(r), limits X and sum_{i>r} d_i X // q."""
+    q, rest = co.d_joint(r), co.d[r:]
+    return rest + (q,), (X,) * len(rest) + (sum(rest) * X // q,)
+
+
 def count_congruence(z: Sequence[int], r: int, X: int) -> int:
     """Exact cardinality of A_r(X): tuples (alpha_{r+1},...,alpha_n) in
     [-X, X]^{n-r} with sum_{i>r} d_i alpha_i == 0 mod q = joint(r).
@@ -511,7 +462,4 @@ def count_congruence(z: Sequence[int], r: int, X: int) -> int:
         raise ContractViolation(f"r must lie in [1, {n - 1}]")
     if X < 0:
         raise ContractViolation("X must be >= 0")
-    co = lattice_coefficients(z)
-    q = co.d_joint(r)
-    rest = co.d[r:]
-    return count_zero_sum_boxes(rest + (q,), [X] * len(rest) + [sum(rest) * X // q])
+    return count_zero_sum_boxes(*congruence_box(lattice_coefficients(z), r, X))

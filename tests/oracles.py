@@ -1,7 +1,7 @@
 """Test-only oracles: Monte Carlo slab volumes, the exact inner volume of
 the beta~ integrand, dilation counting, the series form of the Eulerian
-polynomials, the maximal-chain form of reducedness and a plain sieve of
-Eratosthenes.
+polynomials, the maximal-chain form of reducedness, a plain sieve of
+Eratosthenes and a zero-sum count in exact integers.
 
 Like ``hypercount.oracles``, which holds the oracles that ``verify``
 shares with the tests, everything here is written directly from the
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -108,3 +109,19 @@ def primes_by_sieve(limit: int) -> list[int]:
         if flags[p]:
             flags[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
     return [p for p, flag in enumerate(flags) if flag]
+
+
+def zero_sum_by_divisibility(coeffs, limits) -> int:
+    """#{w : sum c_i w_i = 0, |w_i| <= L_i} in exact integers of any size:
+    the sums s of every coordinate but the last are enumerated with their
+    multiplicities, and the last coordinate, which must be -s / c for the
+    last coefficient c, is tested by divisibility and against its limit."""
+    *outer, (c, L) = zip(coeffs, limits)
+    sums = Counter({0: 1})
+    for ci, Li in outer:
+        grown = Counter()
+        for s, k in sums.items():
+            for w in range(-Li, Li + 1):
+                grown[s + ci * w] += k
+        sums = grown
+    return sum(k for s, k in sums.items() if s % c == 0 and abs(s // c) <= L)

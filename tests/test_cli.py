@@ -167,6 +167,14 @@ def test_exit_code_usage_error(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("method", ["exact", "mc"])
+@pytest.mark.parametrize("n", ["-1", "2"])
+def test_polytope_below_n_3_is_a_usage_error(capsys, method, n):
+    code, out, err = run_cli(capsys, "polytope", "--n", n, "--method", method)
+    assert code == 1 and out == "" and "n must be >= 3" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("bound", ["inf", "-inf", "nan", "1e400"])
 def test_non_finite_bound_is_a_usage_error(capsys, bound):
     code, out, err = run_cli(capsys, "count", "--n", "3", f"--B={bound}")

@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 from hypercount import lattice, verify
 from hypercount.errors import ContractViolation
 from hypercount.factorization import factorize
-from hypercount.lattice import (_pair_count_scalar, count_congruence,
-                                count_solutions, count_zero_sum_boxes,
-                                lattice_coefficients, slab_volume,
-                                solution_main_term, tuple_slab_volume)
+from hypercount.lattice import (count_congruence, count_solutions,
+                                count_zero_sum_boxes, lattice_coefficients,
+                                slab_volume, solution_main_term,
+                                tuple_slab_volume)
 from hypercount.oracles import (brute_congruence, brute_zero_sum_boxes,
                                 random_reduced)
 
-from oracles import mc_slab
+from oracles import mc_slab, zero_sum_by_divisibility
 
 
 def test_coefficient_examples():
@@ -116,17 +116,6 @@ def test_count_examples():
             count_congruence(z, r, X)
 
 
-def _scalar_zero_sum_boxes(coeffs, limits):
-    """Close the last two coordinates (as given, unsorted) by the exact
-    pair count and enumerate the others."""
-    *outer, (a, La), (b, Lb) = zip(coeffs, limits)
-    total = 0
-    for ws in itertools.product(*(range(-L, L + 1) for _, L in outer)):
-        s = -sum(c * w for (c, _), w in zip(outer, ws))
-        total += _pair_count_scalar(a, La, b, Lb, s)
-    return total
-
-
 def test_count_zero_sum_boxes_against_grid():
     rng = np.random.default_rng(17)
     for _ in range(200):
@@ -150,10 +139,14 @@ def test_count_zero_sum_rows_edge_rows_and_wide_rows():
         assert count_zero_sum_boxes(coeffs, limits) == brute_zero_sum_boxes(coeffs, limits)
 
 
+def _guard_off():
+    """Send every row of the batch to the Python-int path."""
+    return patch.object(lattice, "_fits_int64_vec", lambda C, L: np.zeros(len(C), bool))
+
+
 def test_single_boxes_count_the_same_on_both_routes():
-    # count_zero_sum_boxes takes the Python-int path below _EXACT_CELLS
-    # outer cells and the batch above; forcing each route on every box
-    # must give the grid count
+    # a box inside the int64 guard runs on int64 arrays; forced past it,
+    # the same box runs on Python ints; both must give the grid count
     rng = np.random.default_rng(61)
     cases = []
     for _ in range(80):
@@ -161,9 +154,9 @@ def test_single_boxes_count_the_same_on_both_routes():
         cases.append((tuple(int(v) for v in rng.integers(1, 12, size=m)),
                       tuple(int(v) for v in rng.integers(0, 5, size=m))))
     expect = [brute_zero_sum_boxes(c, L) for c, L in cases]
-    for cells in (0, 1 << 30):
-        with patch.object(lattice, "_EXACT_CELLS", cells):
-            assert [count_zero_sum_boxes(c, L) for c, L in cases] == expect
+    assert [count_zero_sum_boxes(c, L) for c, L in cases] == expect
+    with _guard_off():
+        assert [count_zero_sum_boxes(c, L) for c, L in cases] == expect
 
 
 def test_count_zero_sum_rows_across_chunks(monkeypatch):
@@ -184,7 +177,7 @@ def test_count_zero_sum_rows_row_above_the_cell_cap(monkeypatch):
     # between two small rows
     big = ((7, 3, 5, 11, 13), (30, 40, 1, 90, 100))
     cases = [((1, 2, 3), (2, 2, 2)), big, ((5, 5), (3, 3))]
-    expect = [brute_zero_sum_boxes(*cases[0]), _scalar_zero_sum_boxes(*big),
+    expect = [brute_zero_sum_boxes(*cases[0]), zero_sum_by_divisibility(*big),
               brute_zero_sum_boxes(*cases[2])]
     assert [count_zero_sum_boxes(c, L) for c, L in cases] == expect
     # with a cap of 5 cells the big row's grid splits into many batches
@@ -197,19 +190,19 @@ def test_count_zero_sum_boxes_on_both_sides_of_the_int64_switch():
     assert lattice._VEC_LIMIT == 1 << 60
     rng = np.random.default_rng(47)
     cases = [((1, 1, 1 << 61), (5, 5, 1)), ((1 << 61, 3, 1 << 61), (1, 4, 2))]
+    expect = []
     for _ in range(40):
         m = int(rng.integers(2, 5))
         coeffs = [int(v) for v in rng.integers(1, 9, size=m)]
         limits = tuple(int(v) for v in rng.integers(0, 6, size=m))
         # scaled by 2^40 a row needs exact ints (a^2 >= 2^60); by 10^20
         # its reach passes 2^60 too; the count does not change
+        want = brute_zero_sum_boxes(coeffs, limits)
         for scale in (1, 1 << 20, 1 << 40, 10 ** 20):
             cases.append((tuple(c * scale for c in coeffs), limits))
-    expect = [_scalar_zero_sum_boxes(c, L) for c, L in cases]
-    assert [count_zero_sum_boxes(c, L) for c, L in cases] == expect
-    assert expect[:2] == [11, 3]
-    for i in range(2, len(cases), 4):
-        assert expect[i:i + 4] == [brute_zero_sum_boxes(*cases[i])] * 4
+            expect.append(want)
+    assert [zero_sum_by_divisibility(*case) for case in cases[:2]] == [11, 3]
+    assert [count_zero_sum_boxes(c, L) for c, L in cases] == [11, 3] + expect
 
 
 def test_count_zero_sum_boxes_contract():
@@ -228,7 +221,10 @@ def test_count_zero_sum_boxes_contract():
 @example(n=9, m=1, a=-4, b=11)
 @example(n=25, m=13, a=-40, b=-7)
 def test_floor_sum_against_the_brute_sum(n, m, a, b):
-    assert lattice._floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+    want = sum((a * i + b) // m for i in range(n))
+    for dtype in (np.int64, object):
+        args = (np.array([v], dtype=dtype) for v in (n, m, a, b))
+        assert lattice._floor_sum_vec(*args).tolist() == [want]
 
 
 @st.composite
@@ -270,14 +266,13 @@ def test_three_coordinate_rows_against_the_grid(row):
 @given(_three_coordinate_rows())
 @_with_examples
 def test_three_coordinate_rows_scaled_past_int64(row):
-    # the closed form runs on Python ints, so a row needs no int64 switch;
-    # scaling every coefficient leaves the count unchanged
+    # past the int64 guard the closed form runs on Python ints; scaling
+    # every coefficient leaves the count unchanged
     coeffs, limits = row
-    want = _scalar_zero_sum_boxes(coeffs, limits)
+    want = brute_zero_sum_boxes(coeffs, limits)
     for scale in (1, 1 << 40, 10 ** 20):
         scaled = tuple(c * scale for c in coeffs)
         assert (max(scaled) ** 2 < lattice._VEC_LIMIT) == (scale == 1)
-        assert _scalar_zero_sum_boxes(scaled, limits) == want
         assert count_zero_sum_boxes(scaled, limits) == want
 
 
@@ -291,25 +286,26 @@ def test_wide_rows_past_int64_against_the_grid(row, scale):
     scaled = [c * scale for c in coeffs]
     want = brute_zero_sum_boxes(coeffs, limits)
     # past the int64 guard of the batch, the row takes the Python-int path
-    with patch.object(lattice, "_exact_count", wraps=lattice._exact_count) as exact:
+    with patch.object(lattice, "_cell_counts", wraps=lattice._cell_counts) as cells:
         assert count_zero_sum_boxes(scaled, limits) == want
-    assert exact.call_count == 1
+    assert cells.call_count == 1 and cells.call_args.args[0].dtype == object
     # nearly equal huge coefficients: a solution must cancel in both parts
     mixed = [c + k for k, c in enumerate(scaled)]
-    want = _scalar_zero_sum_boxes(mixed, limits)
-    assert count_zero_sum_boxes(mixed, limits) == want
+    assert count_zero_sum_boxes(mixed, limits) == zero_sum_by_divisibility(mixed, limits)
 
 
 def test_wide_rows_past_int64_enumerate_all_but_three(monkeypatch):
     calls = []
-    triple = lattice._triple_count
-    monkeypatch.setattr(lattice, "_triple_count",
-                        lambda *args: calls.append(args) or triple(*args))
+    triple = lattice._triple_count_vec
+    monkeypatch.setattr(lattice, "_triple_count_vec",
+                        lambda T, row, s: calls.append(s) or triple(T, row, s))
     coeffs, limits = (3, 5, 7, 2, 1), (4, 3, 2, 2, 1)
     scaled = tuple(c << 61 for c in coeffs)
     assert count_zero_sum_boxes(scaled, limits) == brute_zero_sum_boxes(coeffs, limits)
-    # the two smallest boxes, L = 1 and L = 2, are the enumerated cells
-    assert len(calls) == 3 * 5
+    # the row ran on Python ints, and its cells come from the two smallest
+    # boxes, L = 1 and L = 2, which are all that is enumerated
+    assert all(s.dtype == object for s in calls)
+    assert 0 < sum(map(len, calls)) <= 3 * 5
 
 
 def test_counts_match_grids_randomized():
@@ -318,8 +314,7 @@ def test_counts_match_grids_randomized():
 
 
 def test_count_scalar_path_with_huge_entries():
-    # force the arbitrary-precision fallback with coefficients beyond int64
-    import itertools
+    # coefficients beyond int64 take the Python-int path of the batch
     z = [1] * 7
     z[2] = 10 ** 25              # subsets {1,2} and {1,2,3} are comparable
     z[6] = 10 ** 25 + 1
@@ -380,10 +375,12 @@ def test_upper_bound_with_calibrated_constant():
 @given(st.lists(st.tuples(st.integers(0, 40), st.integers(1, 10 ** 6),
                           st.integers(-10 ** 9, 10 ** 9), st.integers(-10 ** 9, 10 ** 9)),
                 min_size=1, max_size=30))
-def test_array_floor_sum_matches_the_scalar(rows):
-    n, m, a, b = (np.array(v, dtype=np.int64) for v in zip(*rows))
-    assert lattice._floor_sum_vec(n, m, a, b).tolist() == [
-        lattice._floor_sum(*row) for row in rows]
+def test_array_floor_sum_matches_the_brute_sum(rows):
+    # rows leave the loop at different steps, on int64 and on Python ints
+    want = [sum((a * i + b) // m for i in range(n)) for n, m, a, b in rows]
+    for dtype in (np.int64, object):
+        args = (np.array(v, dtype=dtype) for v in zip(*rows))
+        assert lattice._floor_sum_vec(*args).tolist() == want
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -391,8 +388,16 @@ def test_array_floor_sum_matches_the_scalar(rows):
                 min_size=1, max_size=30))
 def test_array_inverse_matches_pow(pairs):
     pairs = [(x, m) for x, m in pairs if math.gcd(x, m) == 1] or [(3, 7)]
-    x, m = (np.array(v, dtype=np.int64) for v in zip(*pairs))
-    assert lattice._inverse_vec(x, m).tolist() == [pow(x, -1, m) for x, m in pairs]
+    for dtype in (np.int64, object):
+        x, m = (np.array(v, dtype=dtype) for v in zip(*pairs))
+        assert lattice._inverse_vec(x, m).tolist() == [pow(x, -1, m) for x, m in pairs]
+
+
+def _grid_triple(a, La, b, Lb, c, Lc, s):
+    """#{(u, v, w) : a u + b v + c w = s, |u| <= La, |v| <= Lb, |w| <= Lc}
+    over the whole grid."""
+    u, v, w = np.ogrid[-La:La + 1, -Lb:Lb + 1, -Lc:Lc + 1]
+    return int((a * u + b * v + c * w == s).sum())
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -401,7 +406,7 @@ def test_array_inverse_matches_pow(pairs):
                 min_size=1, max_size=20))
 @example([(((2, 4, 6), (1, 1, 1)), [1])])  # gcd 2 divides no s: every count is 0
 @example([(((2, 4, 6), (1, 1, 1)), [1, 2, -4]), (((3, 5, 7), (2, 0, 4)), [0, 9])])
-def test_array_triple_count_matches_the_scalar(boxes):
+def test_array_triple_count_matches_the_grid(boxes):
     # the terms of each box once, and its targets as cells of that box; a
     # target that gcd(a, b, c) does not divide has no solution, and the
     # batch never sends one
@@ -410,7 +415,7 @@ def test_array_triple_count_matches_the_scalar(boxes):
     row, s, want = [], [], []
     for r, (((a, b, c), (La, Lb, Lc)), targets) in enumerate(boxes):
         for t in targets:
-            count = lattice._triple_count(a, La, b, Lb, c, Lc, t)
+            count = _grid_triple(a, La, b, Lb, c, Lc, t)
             if t % math.gcd(a, b, c):
                 assert count == 0
             else:
@@ -419,11 +424,8 @@ def test_array_triple_count_matches_the_scalar(boxes):
     assert lattice._triple_count_vec(T, row, s).tolist() == want
 
 
-def _batch_by_the_scalar(coeffs, limits, weights):
-    # the Python-int path, which shares no array code with the batch (a
-    # wide count_zero_sum_boxes is itself a row of the batch)
-    return sum(w * lattice._exact_count(lattice._active_pairs(
-                   [c for c, L in zip(cs, Ls) if L > 0], [L for L in Ls if L > 0]))
+def _batch_by_the_grid(coeffs, limits, weights):
+    return sum(w * brute_zero_sum_boxes(cs, Ls)
                for cs, Ls, w in zip(coeffs, limits, weights))
 
 
@@ -448,8 +450,8 @@ def _batches(draw):
 
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(_batches(), st.sampled_from([1, 2, 3, 4, 5, None]))
-def test_batch_matches_the_scalar_kernel(batch, chunk):
-    want = _batch_by_the_scalar(*(v.tolist() for v in batch))
+def test_batch_matches_the_grid(batch, chunk):
+    want = _batch_by_the_grid(*(v.tolist() for v in batch))
     with patch.object(lattice, "_CHUNK", chunk or lattice._CHUNK):
         assert lattice.count_zero_sum_batch(*batch) == want
 
@@ -479,8 +481,8 @@ def _stepped_batches(draw):
 @given(_stepped_batches(), st.sampled_from([1, 2, 3, 5, None]))
 # x = the 6 (g1 = 18, e = 6, h = 3) and the prefix sum 9 w is no multiple of e at w = -1
 @example((np.array([[9, 18, 18, 6, 18]]), np.array([[1, 1, 1, 1, 2]]), np.array([1])), None)
-def test_stepped_rows_match_the_scalar_kernel(batch, chunk):
-    want = _batch_by_the_scalar(*(v.tolist() for v in batch))
+def test_stepped_rows_match_the_grid(batch, chunk):
+    want = _batch_by_the_grid(*(v.tolist() for v in batch))
     with patch.object(lattice, "_CHUNK", chunk or lattice._CHUNK):
         assert lattice.count_zero_sum_batch(*batch) == want
 
@@ -489,7 +491,7 @@ def test_stepped_rows_match_the_scalar_kernel(batch, chunk):
 @given(st.one_of(_stepped_batches(), _batches()), st.randoms(use_true_random=False))
 def test_permuting_a_rows_pairs_keeps_its_count(batch, rnd):
     C, L, weights = batch
-    want = _batch_by_the_scalar(C.tolist(), L.tolist(), weights.tolist())
+    want = _batch_by_the_grid(C.tolist(), L.tolist(), weights.tolist())
     order = np.array([rnd.sample(range(C.shape[1]), C.shape[1]) for _ in range(len(C))],
                      dtype=np.int64).reshape(C.shape)
     permuted = (np.take_along_axis(C, order, axis=1), np.take_along_axis(L, order, axis=1))
@@ -508,8 +510,8 @@ def _arranged(C, L):
 
 def test_batch_on_both_sides_of_the_int64_guard():
     # coefficients from 2^25 to just below 2^28 (the guard's cap) and
-    # limits up to 40 put the guard's bound G near 2^60; the rows on
-    # each side of it must count exactly
+    # limits up to 40 put the guard's bound G near 2^60; each row must
+    # count as it does on Python ints, with the guard forced off
     rng = np.random.default_rng(53)
     coeffs, limits = [], []
     for _ in range(300):
@@ -535,10 +537,13 @@ def test_batch_on_both_sides_of_the_int64_guard():
     stepped = _arranged(C[300:], L[300:])[1][:, -4] == L[300:, 3]
     assert stepped.sum() > 270
     assert 30 < fits[300:][stepped].sum() < stepped.sum() - 30
-    want = _batch_by_the_scalar(coeffs, limits, weights.tolist())
-    assert lattice.count_zero_sum_batch(C, L, weights) == want
+    with _guard_off():
+        want = lattice.count_zero_sum_rows(C, L).tolist()
+    assert lattice.count_zero_sum_rows(C, L).tolist() == want
     with patch.object(lattice, "_CHUNK", 3):
-        assert lattice.count_zero_sum_batch(C, L, weights) == want
+        assert lattice.count_zero_sum_rows(C, L).tolist() == want
+    assert lattice.count_zero_sum_batch(C, L, weights) == sum(
+        w * count for w, count in zip(weights.tolist(), want))
     # a coefficient of 2^28 or more is refused before G is formed; clipped
     # to 2^28, this row's G would pass
     big = np.array([[1 << 40, (1 << 40) + 1, (1 << 40) + 3]])
@@ -547,16 +552,45 @@ def test_batch_on_both_sides_of_the_int64_guard():
     assert lattice._fits_int64_vec(big >> 13, ones)[0]
 
 
+def test_a_rows_count_does_not_depend_on_its_batch():
+    # rows inside the guard, past it (on int64 input and on Python ints
+    # past int64) and with every limit zero: alone, together in any order,
+    # and beside zero-limit rows, each row keeps its count
+    top = (1 << 27) + 1
+    rows = [((3, 5, 7, 2), (4, 3, 2, 2)), ((6, 10, 15, 1), (5, 5, 5, 0)),
+            ((3 << 61, 5 << 61, 7 << 61, 2 << 61), (4, 3, 2, 2)),
+            ((top, top + 2, top + 6, top + 8), (40, 40, 40, 40)),
+            ((1, 1, 1, 1), (0, 0, 0, 0))]
+    assert not lattice._fits_int64_vec(*(np.array([v]) for v in rows[3]))[0]
+    alone = [count_zero_sum_boxes(c, L) for c, L in rows]
+    assert alone[:3] == [brute_zero_sum_boxes(*rows[0]), brute_zero_sum_boxes(*rows[1]),
+                         alone[0]]
+    assert alone[4] == 1
+    zero = ((5, 7, 9, 11), (0, 0, 0, 0))
+    for order in itertools.permutations(range(len(rows))):
+        batch = [rows[i] for i in order]
+        batch = [zero] + [row for pair in zip(batch, [zero] * len(batch)) for row in pair]
+        got = lattice.count_zero_sum_rows(*zip(*batch)).tolist()
+        assert got[1::2] == [alone[i] for i in order] and set(got[::2]) == {1}
+
+
+def test_lattice_grid_check_is_one_kernel_call():
+    with patch.object(lattice, "count_zero_sum_rows",
+                      wraps=lattice.count_zero_sum_rows) as rows, \
+            patch.object(lattice, "count_zero_sum_boxes") as single:
+        res = verify.check_lattice_grids(np.random.default_rng(0), 1000)
+    assert (res.ok, res.detail) == (True, "1000 instances, 0 mismatches")
+    assert rows.call_count == 1 and single.call_count == 0
+
+
 def test_batch_grids_split_across_chunks():
     # n = 4 and n = 5 shaped rows, whose grids of outer cells are split
-    # between batches, against the scalar kernel and the grid oracle
+    # between batches, against the grid oracle
     rng = np.random.default_rng(59)
     C = rng.integers(1, 40, size=(40, 5))
     L = rng.integers(0, 5, size=(40, 5))
     weights = rng.integers(-5, 6, size=40)
-    want = _batch_by_the_scalar(C.tolist(), L.tolist(), weights.tolist())
-    assert want == sum(int(w) * brute_zero_sum_boxes(c, l)
-                       for c, l, w in zip(C.tolist(), L.tolist(), weights))
+    want = _batch_by_the_grid(C.tolist(), L.tolist(), weights.tolist())
     for chunk in (1, 2, 5, 7, 64):
         with patch.object(lattice, "_CHUNK", chunk):
             assert lattice.count_zero_sum_batch(C, L, weights) == want
