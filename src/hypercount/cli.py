@@ -181,7 +181,7 @@ def _cmd_factorize(args: argparse.Namespace) -> dict:
     if args.n is not None and args.n != len(y):
         raise _UsageError(f"--n {args.n} does not match tuple length {len(y)}")
     z = factorization.factorize(y)
-    lcm = factorization.tuple_product(z)
+    lcm = math.prod(z)
     if digits and lcm >= 10 ** digits:
         raise ResourceLimit(f"the lcm of the tuple is limited to {digits} digits")
     return {
@@ -197,6 +197,7 @@ def _cmd_count(args: argparse.Namespace) -> dict:
         "command": "count", "n": args.n, "B": B, "method": args.method,
         "shards": args.shards, "count": report.count,
         "log_exponent": report.log_exponent, "ratio": report.ratio,
+        "log_ratio": report.log_ratio,
         "wall_time_s": report.seconds,
     }
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .constants import _sorted_columns
 from .errors import ContractViolation, ResourceLimit
-from .factorization import _weight_levels
+from .factorization import _level_columns
 from .lattice import count_zero_sum_batch
 
 WORKERS_ENV = "HYPERCOUNT_WORKERS"
@@ -313,9 +313,8 @@ def _torsor_shard(n: int, X: int, shard: int, shards: int) -> int:
     fields = 2 * n + 1
     batch = max(1, 12 * _TORSOR_CAP // fields)
     steps = []  # per level: the y_j for j in h, the fields v multiplies, y_{j-1} or None
-    for size in _weight_levels(n)[1:]:
-        for _, mem in size:
-            ys = np.array(mem) - 1
+    for _, mem, _ in _level_columns(n)[1:]:
+        for ys in mem:  # the member columns j - 1 of each h, ascending h
             j = ys[0]
             steps.append((ys, np.append(ys, fields - 1), None) if len(ys) > 1 else
                          (ys, np.array([j, n + j, fields - 1]), j - 1 if j else None))
@@ -401,6 +400,7 @@ class CountReport:
     count: int
     seconds: float
     ratio: float | None
+    log_ratio: float | None  # log(ratio), finite where ratio underflows to 0.0
 
     @property
     def log_exponent(self) -> int:
@@ -483,11 +483,12 @@ def count_points(n: int, B: float | Fraction, method: str = "direct",
     count = (1 << (n - 1)) * sum(parts)
     seconds = time.perf_counter() - t0
     exponent = (1 << n) - n - 1
-    ratio = None
+    ratio = log_ratio = None
     if B >= 2:
+        log_ratio = (math.log(count) - math.log(B) - exponent * math.log(math.log(B))
+                     if count else None)
         try:
             ratio = count / (B * math.log(B) ** exponent)
         except OverflowError:  # log(B)^exponent passes the float range (n >= 9)
-            ratio = math.exp(math.log(count) - math.log(B)
-                             - exponent * math.log(math.log(B)))
-    return CountReport(n, float(B), method, count, seconds, ratio)
+            ratio = math.exp(log_ratio)
+    return CountReport(n, float(B), method, count, seconds, ratio, log_ratio)

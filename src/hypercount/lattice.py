@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractViolation
-from .factorization import bit, dimension_of, is_reduced
+from .factorization import _divmod, _int_array, _py_ints, compose, dimension_of
 
 # the int64 guard of the batch (see _fits_int64_vec); rows past it run on
 # Python ints
@@ -69,24 +69,12 @@ class LatticeCoefficients:
 
 def lattice_coefficients(z: Sequence[int]) -> LatticeCoefficients:
     n = dimension_of(z)
-    top = 1 << n
-    d = [1] * n
-    joint = [1] * n
-    step = [1] * (n - 1)
-    for h in range(1, top):
-        v = z[h - 1]
-        if v == 1:
-            continue
-        low = (h & -h).bit_length()  # smallest member of h
-        for i in range(1, n + 1):
-            if not bit(h, i):
-                d[i - 1] *= v
-        for r in range(1, n + 1):
-            if (h & ((1 << r) - 1)) == 0:
-                joint[r - 1] *= v
-        if low > 1:
-            step[low - 2] *= v  # avoids 1..low-1, contains low
-    return LatticeCoefficients(n, tuple(d), tuple(joint), tuple(step))
+    big = [(h, v) for h, v in enumerate(z, start=1) if v > 1]
+    low = [((h & -h).bit_length(), v) for h, v in big]  # the smallest member of h
+    return LatticeCoefficients(
+        n, tuple(math.prod(v for h, v in big if not h >> i & 1) for i in range(n)),
+        tuple(math.prod(v for m, v in low if m > r) for r in range(1, n + 1)),
+        tuple(math.prod(v for m, v in low if m == r + 1) for r in range(1, n)))
 
 
 # ----------------------------- slab volumes -----------------------------
@@ -132,19 +120,16 @@ def slab_volume(weights: Sequence[int | Fraction], bound: int | Fraction) -> Fra
 
 def tuple_slab_volume(z: Sequence[int]) -> Fraction:
     """b-volume of a reduced tuple: slab with weights (d_2..d_n), bound d_1."""
-    if not is_reduced(z):
-        raise ContractViolation("tuple is not reduced")
-    co = lattice_coefficients(z)
-    return slab_volume(co.d[1:], co.d[0])
+    y, total = compose(z), math.prod(z)
+    return slab_volume([total // v for v in y[1:]], total // y[0])
 
 
 def solution_main_term(z: Sequence[int], X: int) -> Fraction:
     """Continuous main term X^{n-1} b / d_1 of the bounded solution count."""
     if X < 1:
         raise ContractViolation("X must be >= 1")
-    n = dimension_of(z)
     co = lattice_coefficients(z)
-    return Fraction(X) ** (n - 1) * tuple_slab_volume(z) / co.d[0]
+    return Fraction(X) ** (co.n - 1) * tuple_slab_volume(z) / co.d[0]
 
 
 # Cells of the batch per vectorized step, about 0.4 KB each at the peak
@@ -157,11 +142,6 @@ _CHUNK = 1 << 10
 
 
 # --------------------------- batched closed form ---------------------------
-
-def _divmod(x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.divmod, which has no loop for Python ints (object arrays)."""
-    return (x // m, x % m) if x.dtype == object else np.divmod(x, m)
-
 
 def _floor_sum_vec(n: np.ndarray, m: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sum_{i=0}^{n-1} floor((a i + b) / m) for n >= 0, m >= 1 and any
@@ -360,18 +340,6 @@ def _cell_counts(C: np.ndarray, L: np.ndarray) -> np.ndarray:
             row, x, p, c_r, twice = row[ok], x[ok], p[ok], c_r[ok], twice[ok]
         np.add.at(counts, row, _triple_count_vec(T, row, -(p + c_r * x)) << twice)
     return counts
-
-
-# Python ints in an object array, whatever integer type the entries had
-_py_ints = np.frompyfunc(int, 1, 1)
-
-
-def _int_array(v) -> np.ndarray:
-    """v as an int64 array, or as Python ints when some entry passes int64."""
-    try:
-        return np.asarray(v, dtype=np.int64)
-    except OverflowError:
-        return _py_ints(np.asarray(v, dtype=object))
 
 
 def count_zero_sum_rows(coeffs, limits) -> np.ndarray:

@@ -30,12 +30,17 @@ def incomparable(h: int, l: int, n: int) -> bool:
     return not (a <= b or b <= a)
 
 
+@functools.cache
+def _incomparable_to(h: int, n: int) -> tuple[int, ...]:
+    """The indices l in [1, 2^n - 1] incomparable to h; cached, since
+    every draw and reducedness test asks for them again."""
+    return tuple(l for l in range(1, 1 << n) if incomparable(h, l, n))
+
+
 def reduced_by_definition(z: tuple[int, ...], n: int) -> bool:
     """Entries on incomparable subsets are pairwise coprime."""
-    top = 1 << n
     return all(math.gcd(z[h - 1], z[l - 1]) == 1
-               for h in range(1, top) for l in range(h + 1, top)
-               if incomparable(h, l, n))
+               for h in range(1, 1 << n) for l in _incomparable_to(h, n) if l > h)
 
 
 def random_reduced(rng: np.random.Generator, n: int, zmax: int) -> tuple[int, ...]:
@@ -45,8 +50,7 @@ def random_reduced(rng: np.random.Generator, n: int, zmax: int) -> tuple[int, ..
     top = (1 << n) - 1
     z = [1] * top
     for h in rng.permutation(top) + 1:
-        placed = math.prod(v for l, v in enumerate(z, start=1)
-                           if v > 1 and incomparable(h, l, n))
+        placed = math.prod(z[l - 1] for l in _incomparable_to(h, n))
         pool = [v for v in range(1, zmax + 1) if math.gcd(v, placed) == 1]
         z[h - 1] = int(pool[rng.integers(0, len(pool))])
     assert reduced_by_definition(tuple(z), n)

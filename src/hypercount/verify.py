@@ -12,7 +12,6 @@ the same functions at its own sizes and seeds.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,15 +51,18 @@ def _point_count(n: int, B: float | Fraction, method: str, shards: int) -> int:
 
 # ------------------------------- bijection -------------------------------
 
-def _roundtrips(y: tuple[int, ...]) -> bool:
-    z = factorization.factorize(y)
-    return (factorization.is_reduced(z) and factorization.compose(z) == y
-            and factorization.tuple_product(z) == math.lcm(*y))
+def _roundtrip_failures(ys: np.ndarray) -> int:
+    """Rows y whose z = factorize(y) is not reduced (a gcd per incomparable
+    pair), does not compose back to y, or has a product other than lcm(y)."""
+    Z = factorization.factorize_rows(ys)
+    Y = ys.astype(Z.dtype)  # Python ints where a row's product passes 2^62
+    ok = (factorization.reduced_rows(Z) & (factorization.compose_rows(Z) == Y).all(axis=1)
+          & (np.prod(Z, axis=1) == np.lcm.reduce(Y, axis=1)))
+    return int(len(ok) - ok.sum())
 
 
 def check_roundtrip_exhaustive(bound: int) -> CheckResult:
-    bad = sum(not _roundtrips(y)
-              for y in itertools.product(range(1, bound + 1), repeat=3))
+    bad = _roundtrip_failures(np.indices((bound,) * 3).reshape(3, -1).T + 1)
     return CheckResult("factorize roundtrip n=3 exhaustive",
                        bad == 0, f"[1,{bound}]^3, {bad} failures")
 
@@ -68,10 +70,8 @@ def check_roundtrip_exhaustive(bound: int) -> CheckResult:
 def check_roundtrip_random(rng: np.random.Generator, trials: int,
                            ymax: int = 50, dims: Sequence[int] = (4, 5)) -> CheckResult:
     """``trials`` tuples with entries in [1, ymax], split evenly over ``dims``."""
-    bad = 0
-    for n in dims:
-        for _ in range(trials // len(dims)):
-            bad += not _roundtrips(tuple(int(v) for v in rng.integers(1, ymax + 1, size=n)))
+    bad = sum(_roundtrip_failures(rng.integers(1, ymax + 1, size=(trials // len(dims), n)))
+              for n in dims)
     return CheckResult("factorize roundtrip n=4,5 randomized",
                        bad == 0, f"{trials} samples, {bad} failures")
 

@@ -60,8 +60,15 @@ def test_count_scientific_bound(capsys):
     for n, bound in (("9", "512"), ("10", "8")):
         code, out, _ = run_cli(capsys, "count", "--n", n, "--B", bound)
         assert code == 0
-        ratio = json.loads(out)["ratio"]
-        assert math.isfinite(ratio) and ratio >= 0
+        report = json.loads(out)
+        assert math.isfinite(report["ratio"]) and report["ratio"] >= 0
+        assert math.isfinite(report["log_ratio"])
+    # where the ratio underflows to 0.0 its log carries the value
+    code, out, _ = run_cli(capsys, "count", "--n", "9", "--B", "512")
+    report = json.loads(out)
+    assert code == 0 and report["ratio"] == 0.0 and -1000 < report["log_ratio"] < -700
+    code, out, _ = run_cli(capsys, "count", "--n", "3", "--B", "1")
+    assert code == 0 and json.loads(out)["log_ratio"] is None
 
 
 def test_toric_example(capsys):

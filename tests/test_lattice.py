@@ -16,7 +16,7 @@ from hypercount.lattice import (count_congruence, count_solutions,
                                 slab_volume, solution_main_term,
                                 tuple_slab_volume)
 from hypercount.oracles import (brute_congruence, brute_zero_sum_boxes,
-                                random_reduced)
+                                random_reduced, subset_of)
 
 from oracles import mc_slab, zero_sum_by_divisibility
 
@@ -32,14 +32,20 @@ def test_coefficient_examples():
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_coefficient_identities(n):
-    from hypercount.factorization import compose, tuple_product
+    from hypercount.factorization import compose
     rng = np.random.default_rng(20 + n)
     for _ in range(200):
         z = random_reduced(rng, n, 6)
         co = lattice_coefficients(z)
         y = compose(z)
-        total = tuple_product(z)
+        total = math.prod(z)
         assert all(di * yi == total for di, yi in zip(co.d, y))
+        # the divisor products by their definitions, over the subsets h
+        subsets = [(subset_of(h, n), v) for h, v in enumerate(z, start=1)]
+        assert co.joint == tuple(math.prod(v for s, v in subsets if min(s) > r)
+                                 for r in range(1, n + 1))
+        assert co.step == tuple(math.prod(v for s, v in subsets if min(s) == m + 1)
+                                for m in range(1, n))
         assert co.d_joint(1) == co.d[0]
         assert co.d_joint(n) == 1
         for r in range(2, n + 1):
