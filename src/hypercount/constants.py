@@ -18,9 +18,10 @@ routes:
 Monte Carlo uses counter-based (Philox) streams keyed by (seed, stream),
 so results are bit-identical for a fixed seed and sample plan.  Each
 stream serves one block of MC_BLOCK samples; ``mc_mean`` evaluates a
-block _MC_ROWS rows at a time into one buffer, reused by every block of
-the call, and sums it whole, so the chunk size changes neither the draws
-nor any sum.  The integrands work on whole columns: a compare-exchange
+block in runs of at most _MC_ROWS consecutive rows, the leaves of numpy's
+pairwise summation tree, and combines their sums along that tree, so
+neither the run length nor the missing block array changes the draws or
+any sum.  The integrands work on whole columns: a compare-exchange
 network stands in for numpy's per-row sort, running products for its
 cumprod and running sums of columns for the polytope's row products, and
 every sum and product keeps numpy's order or is exact, so each value has
@@ -54,8 +55,9 @@ _PHILOX_WORDS = 4  # 64-bit outputs per Philox counter step, one per double
 # 2-vCPU x86 host the Euler product to 1e8 took 1.1 s and 75 MB peak RSS,
 # of which 46 MB are its one log per prime, so 1e9 should need about 11 s
 # and 450 MB and 1e10 minutes and 4 GB (extrapolated); a sample costs
-# 0.06-0.23 us per integrand, so 1e9 samples run for minutes and 1e15
-# would run for years.
+# 0.03-0.11 us of CPU per integrand (up to 0.22 us of wall time while
+# glibc's malloc thresholds are at their defaults), so 1e9 samples run
+# for minutes and 1e15 would run for years.
 SIZE_CAP = 10 ** 9
 
 
@@ -288,19 +290,43 @@ def stream_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+# numpy's pairwise sum adds a run of at most this many values in one 8-way
+# unrolled loop and splits a longer one at half, rounded down to a multiple
+# of 8, summing both parts the same way
+_PAIRWISE_BLOCK = 128
+
+
+def _tree_sums(leaf: Callable[[int], np.ndarray], n: int,
+               rows: int) -> tuple[float, float]:
+    """Sum and sum of squares of n values, each with the bits of one
+    ``np.sum`` over all of them: a run longer than _PAIRWISE_BLOCK and
+    ``rows`` is split where numpy's pairwise sum splits it, and ``leaf(k)``
+    gives the next k values as a new float64 array, squared in place."""
+    if n <= max(rows, _PAIRWISE_BLOCK):
+        vals = leaf(n)
+        tot = float(vals.sum())
+        np.multiply(vals, vals, out=vals)
+        return tot, float(vals.sum())
+    half = n // 2 - n // 2 % 8
+    tot, totsq = _tree_sums(leaf, half, rows)
+    tot2, totsq2 = _tree_sums(leaf, n - half, rows)
+    return tot + tot2, totsq + totsq2
+
+
 def mc_mean(fn: Callable[..., np.ndarray], samples: int, seed: int,
             widths: Sequence[int]) -> MCEstimate:
     """Stream-blocked Monte Carlo mean of fn(*draws) -> one value per row.
 
     Block b of at most MC_BLOCK samples uses stream b.  Its draws are
     arrays of uniforms of shapes (count, w) for w in ``widths``, taken from
-    the stream in that order, each row-major.  fn sees them _MC_ROWS rows
-    at a time: the first draw's chunks come straight from the stream, and
-    each later draw reads from its own generator advanced past the draws
-    before it, so every chunk holds exactly the rows that drawing the
-    whole block at once would give.  The values of a block fill a prefix
-    of one buffer allocated per call, which is summed whole, squared in
-    place and summed again, so the estimate does not depend on _MC_ROWS.
+    the stream in that order, each row-major.  fn sees them in runs of
+    consecutive rows, the leaves of ``_tree_sums`` over the block: the
+    first draw's runs come straight from the stream, and each later draw
+    reads from its own generator advanced past the draws before it, so
+    every run holds exactly the rows that drawing the whole block at once
+    would give.  The runs' sums combine along numpy's pairwise tree into
+    the sums of the whole block, so the estimate does not depend on
+    _MC_ROWS and no array of a block is ever held.
     """
     if samples < 1:
         raise ContractViolation("samples must be >= 1")
@@ -308,7 +334,6 @@ def mc_mean(fn: Callable[..., np.ndarray], samples: int, seed: int,
     stream = 0
     tot = 0.0
     totsq = 0.0
-    buf = np.empty(min(MC_BLOCK, samples), dtype=np.float64)
     while done < samples:
         count = min(MC_BLOCK, samples - done)
         rngs = []
@@ -320,14 +345,13 @@ def mc_mean(fn: Callable[..., np.ndarray], samples: int, seed: int,
             rng.random(rest)
             rngs.append(rng)
             skip += count * w
-        vals = buf[:count]
-        for lo in range(0, count, _MC_ROWS):
-            rows = min(_MC_ROWS, count - lo)
-            vals[lo:lo + rows] = fn(*(rng.random((rows, w))
-                                      for rng, w in zip(rngs, widths)))
-        tot += float(vals.sum())
-        np.multiply(vals, vals, out=vals)
-        totsq += float(vals.sum())
+
+        def leaf(rows: int) -> np.ndarray:
+            return fn(*(rng.random((rows, w)) for rng, w in zip(rngs, widths)))
+
+        block_tot, block_sq = _tree_sums(leaf, count, _MC_ROWS)
+        tot += block_tot
+        totsq += block_sq
         done += count
         stream += 1
     mean = tot / samples
@@ -506,16 +530,30 @@ def _sorted_columns(cols: Sequence[np.ndarray]) -> list[np.ndarray]:
 
 
 def _band_area(w1: np.ndarray, w2: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Area of {|w1 a + w2 b| <= c} in [-1,1]^2 for w1 >= w2 >= 0."""
-    full = c >= w1 + w2
-    strip = ~full & (c <= w1 - w2)
-    mid = ~full & ~strip
-    safe1 = np.where(w1 > 0, w1, 1.0)
-    safe12 = np.where(mid, w1 * w2, 1.0)
-    area = np.where(full, 4.0,
-                    np.where(strip, 4.0 * c / safe1,
-                             4.0 - (w1 + w2 - c) ** 2 / safe12))
+    """Area of {|w1 a + w2 b| <= c} in [-1,1]^2 for w1 >= w2 >= 0: 4 where
+    c >= w1 + w2, else 4 c / w1 (4 c if w1 = 0) where c <= w1 - w2, else
+    4 - (w1 + w2 - c)^2 / (w1 w2).  Each form is computed on every row and
+    kept on its own rows, so a division by zero elsewhere is discarded."""
+    total = w1 + w2
+    full = c >= total
+    strip = c <= w1 - w2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        area = np.subtract(total, c)
+        np.multiply(area, area, out=area)
+        np.multiply(w1, w2, out=total)
+        np.divide(area, total, out=area)
+        np.subtract(4.0, area, out=area)
+    np.multiply(c, 4.0, out=total)
+    np.divide(total, w1, out=total, where=w1 > 0)
+    np.putmask(area, strip, total)
+    np.putmask(area, full, 4.0)
     return area
+
+
+def _rows_where(mask: np.ndarray) -> slice | np.ndarray:
+    """Index of the rows where ``mask`` holds: every row as a slice, so
+    that indexing with it copies nothing, else their positions."""
+    return slice(None) if mask.all() else np.flatnonzero(mask)
 
 
 def _cube_slab_vec(cols: Sequence[np.ndarray], c: np.ndarray) -> np.ndarray:
@@ -542,31 +580,48 @@ def _cube_slab_vec(cols: Sequence[np.ndarray], c: np.ndarray) -> np.ndarray:
     for col in w[1:]:
         total = total + col
         prod = prod * col
-    t = np.maximum((total - c) / 2, 0.0)
+    t = np.subtract(total, c)
+    t /= 2
+    np.maximum(t, 0.0, out=t)
     # A corner term max(t - shift, 0)^m is 0 wherever t <= shift, and
     # numpy's pow is slow on 0 (4x on an AVX-512 host): each term is
     # raised and added on its positive rows only, which leaves every other
     # row's sum as it was.
-    acc = np.zeros_like(t)
-    live = np.flatnonzero(t > 0)
+    live = _rows_where(t > 0)
     t_live = t[live]
     w_live = [col[live] for col in w]
-    acc_live = t_live ** m
+    acc = t_live ** m
+    # At m = 3 with c >= 0, t <= fl(total)/2 <= shift at corners 3, 5 and
+    # 7, which add nothing: rounding is monotone and doubling exact, so
+    # fl(total) <= 2 fl(w_0 + w_1) as w_2 <= w_0, fl(total) <= fl(2 w_0 +
+    # w_2) <= 2 fl(w_0 + w_2) as w_1 <= w_0, and corner 7's shift is fl(total).
+    skip = (3, 5, 7) if m == 3 and (c >= 0).all() else ()
     shifts = [0.0]
     for mask in range(1, 1 << m):
+        if mask in skip:  # so is every corner built on it
+            shifts.append(None)
+            continue
         top = mask.bit_length() - 1
         shifts.append(shifts[mask ^ (1 << top)] + w_live[top])
         d = t_live - shifts[mask]
-        pos = np.flatnonzero(d > 0)
+        pos = _rows_where(d > 0)
+        term = d[pos]
+        np.power(term, m, out=term)
         if bin(mask).count("1") & 1:
-            acc_live[pos] -= d[pos] ** m
+            acc[pos] -= term
         else:
-            acc_live[pos] += d[pos] ** m
-    acc[live] = acc_live
+            acc[pos] += term
+    if not isinstance(live, slice):
+        acc_live, acc = acc, np.zeros_like(t)
+        acc[live] = acc_live
     denom = math.factorial(m) * prod
     zero = np.flatnonzero(w[-1] <= 0)
     denom[zero] = 1.0  # these rows are redone below
-    vol = (2.0 ** m) * (1.0 - 2.0 * np.clip(acc / denom, 0.0, 0.5))
+    # vol = 2^m (1 - 2 clip(acc / denom, 0, 1/2)), in place
+    vol = np.clip(np.divide(acc, denom, out=acc), 0.0, 0.5, out=acc)
+    vol *= 2.0
+    np.subtract(1.0, vol, out=vol)
+    vol *= 2.0 ** m
     if zero.size:
         c_all = np.broadcast_to(c, vol.shape)
         positive = sum(col[zero] > 0 for col in w)
@@ -703,7 +758,9 @@ def mu_infinity(n: int, samples: int = 10 ** 7, seed: int = 0) -> MCEstimate:
     def block(t: np.ndarray) -> np.ndarray:
         prods = _running_products(t)
         vol = _cube_slab_vec([np.ones(len(t))] + prods[:-1], prods[-1])
-        return scale * vol / np.maximum(prods[-1], 1e-300)
+        vol *= scale  # scale * vol / max(prod, 1e-300), in place
+        vol /= np.maximum(prods[-1], 1e-300, out=prods[-1])
+        return vol
 
     return mc_mean(block, samples, seed, (n - 1,))
 

@@ -391,19 +391,148 @@ def test_row_chunks_do_not_change_the_estimate(monkeypatch, name, rows):
     assert MC_INTEGRANDS[name](1001, 4) == expect
 
 
-def test_monte_carlo_reuses_one_block_buffer(monkeypatch):
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_monte_carlo_holds_no_block_buffer(monkeypatch):
     block = 1 << 16
     monkeypatch.setattr(constants, "MC_BLOCK", block)
     monkeypatch.setattr(constants, "_MC_ROWS", 1 << 10)
     constants.mc_mean(lambda u: u[:, 0], 3 * block, 0, (1,))  # warm-up
-    tracemalloc.start()
-    try:
-        est = constants.mc_mean(lambda u: u[:, 0], 3 * block, 0, (1,))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    est, peak = _traced_peak(
+        lambda: constants.mc_mean(lambda u: u[:, 0], 3 * block, 0, (1,)))
     assert 0.49 < est.value < 0.51
-    assert peak < 1.5 * 8 * block
+    # a block's values would take 8 * block bytes; one leaf takes 8 KB
+    assert peak < 8 * block / 8
+
+
+@pytest.mark.parametrize("name", sorted(MC_INTEGRANDS))
+def test_monte_carlo_memory_stays_below_a_block(name):
+    # a block buffer alone would take 8 MB; the leaves' draws and
+    # temporaries took 1.5-3.3 MB
+    _, peak = _traced_peak(lambda: MC_INTEGRANDS[name](2 ** 20 + 5, 0))
+    assert peak < 5 << 20
+
+
+def _tree_leaves(a, rows):
+    """``constants._tree_sums`` over the values of ``a``, recording the
+    length of every leaf it asks for."""
+    taken = []
+    start = [0]
+
+    def leaf(k):
+        taken.append(k)
+        start[0] += k
+        return a[start[0] - k:start[0]].copy()
+
+    return constants._tree_sums(leaf, len(a), rows), taken
+
+
+TREE_SIZES = (list(range(1, 301))
+              + [(1 << 14) + d for d in (-9, -8, -1, 0, 1, 7, 8, 9)]
+              + [562_816, 1 << 20])
+
+
+@pytest.mark.parametrize("rows", [1, 3, 128, 1 << 14])
+def test_tree_sums_match_np_sum_bit_for_bit(rows):
+    # The tree copies numpy's pairwise sum: the 8-way unrolled loop over at
+    # most 128 values and the split at half rounded down to a multiple of
+    # 8.  A numpy that sums otherwise fails here before any MC pin does.
+    # 562,816 is the last block of 1e7 samples.
+    rng = np.random.default_rng(rows)
+    pool = rng.standard_normal(1 << 20) * np.exp2(rng.integers(-30, 30, 1 << 20))
+    for n in TREE_SIZES:
+        a = pool[:n]
+        (tot, totsq), taken = _tree_leaves(a, rows)
+        assert sum(taken) == n and max(taken) <= max(rows, 128)
+        assert tot.hex() == float(a.sum()).hex(), n
+        assert totsq.hex() == float((a * a).sum()).hex(), n
+
+
+def _band_where(w1, w2, c):
+    """The band area as three nested np.where over safe denominators."""
+    full = c >= w1 + w2
+    strip = ~full & (c <= w1 - w2)
+    mid = ~full & ~strip
+    safe1 = np.where(w1 > 0, w1, 1.0)
+    safe12 = np.where(mid, w1 * w2, 1.0)
+    return np.where(full, 4.0, np.where(strip, 4.0 * c / safe1,
+                                        4.0 - (w1 + w2 - c) ** 2 / safe12))
+
+
+def _slab_every_corner(cols, c):
+    """Slab volume by the corner expansion over all 2^m corners, each
+    raised on its gathered positive rows and scattered back: the float
+    operations ``_cube_slab_vec`` must keep on every row."""
+    c = np.asarray(c, dtype=np.float64)
+    w = list(np.sort(np.column_stack(cols), axis=1).T[::-1].copy())
+    m = len(w)
+    if m == 2:
+        return _band_where(w[0], w[1], c)
+    total, prod = w[0], w[0]
+    for col in w[1:]:
+        total = total + col
+        prod = prod * col
+    t = np.maximum((total - c) / 2, 0.0)
+    acc = np.zeros_like(t)
+    live = np.flatnonzero(t > 0)
+    t_live = t[live]
+    w_live = [col[live] for col in w]
+    acc_live = t_live ** m
+    shifts = [0.0]
+    for mask in range(1, 1 << m):
+        top = mask.bit_length() - 1
+        shifts.append(shifts[mask ^ (1 << top)] + w_live[top])
+        d = t_live - shifts[mask]
+        pos = np.flatnonzero(d > 0)
+        if bin(mask).count("1") & 1:
+            acc_live[pos] -= d[pos] ** m
+        else:
+            acc_live[pos] += d[pos] ** m
+    acc[live] = acc_live
+    denom = math.factorial(m) * prod
+    zero = np.flatnonzero(w[-1] <= 0)
+    denom[zero] = 1.0
+    vol = (2.0 ** m) * (1.0 - 2.0 * np.clip(acc / denom, 0.0, 0.5))
+    c_all = np.broadcast_to(c, vol.shape)
+    positive = sum(col[zero] > 0 for col in w)
+    for k in range(m):
+        rows = zero[positive == k]
+        inner = (_slab_every_corner([col[rows] for col in w[:k]], c_all[rows]) if k
+                 else np.where(c_all[rows] >= 0, 1.0, 0.0))
+        vol[rows] = 2.0 ** (m - k) * inner
+    return vol
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_cube_slab_keeps_every_row_of_the_full_corner_expansion(m):
+    rng = np.random.default_rng(40 + m)
+    # eighths: equal and zero weights, c = 0, c >= sum w, c < 0 and t on a
+    # corner's shift all occur, and every sum of them is exact
+    w = rng.integers(0, 9, size=(2000, m)) / 8.0
+    c = rng.integers(-8 * m, 8 * m + 3, size=2000) / 8.0
+    w[:50] = w[:50, :1]
+    c[50:100] = 0.0
+    c[100:150] = w[100:150].sum(axis=1) + rng.integers(0, 2, size=50) / 8.0
+    # t = w_0 exactly: shift of corner 1
+    top = w[150:200].max(axis=1)
+    c[150:200] = w[150:200].sum(axis=1) - 2 * top
+    plain = rng.random((2000, m)) ** 2
+    cases = [(w, c), (w, np.abs(c)),                         # some c < 0; none
+             (plain, rng.random(2000) * 1.2 * plain.sum(axis=1)),
+             (plain, np.zeros(2000)),                         # every row live
+             (np.full((200, m), 0.3), np.zeros(200)),         # every row hit
+             (np.ones((3, m)), np.full(3, -0.5))]
+    for weights, bound in cases:
+        got = _cube_slab_vec(weights.T, bound)
+        want = _slab_every_corner(weights.T, bound)
+        assert got.tobytes() == want.tobytes()
 
 
 # (value, standard error) as float.hex, computed before the blocks were
@@ -418,6 +547,13 @@ PINNED = {
     # crosses the 2^20 block boundary; the last block holds 5 samples
     ("polytope n=4", 2 ** 20 + 5, 0): ("0x1.4e387b1c926abp-21",
                                        "0x1.74558bedf12bep-27"),
+    # computed while each block's values filled one buffer summed whole:
+    # the second block's 551,424 samples split into 2^14-row leaves and
+    # smaller ones, which the sum combines across an unaligned split
+    ("mu_infinity n=3", 1_600_000, 0): ("0x1.1a16918db32ddp+8",
+                                        "0x1.535b39dc468f8p-7"),
+    ("beta_tilde n=4", 1_600_000, 0): ("0x1.f2c8e0a11f3bcp+2",
+                                       "0x1.6108786c34643p-12"),
 }
 
 
