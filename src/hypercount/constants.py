@@ -25,11 +25,14 @@ any sum.  The integrands work on whole columns: a compare-exchange
 network stands in for numpy's per-row sort, running products for its
 cumprod and running sums of columns for the polytope's row products, and
 every sum and product keeps numpy's order or is exact, so each value has
-the bits the row-wise code gave.
+the bits the row-wise code gave.  Each call draws and evaluates its leaves
+in buffers and scratch columns (``_Scratch``) that it allocates once, so
+no leaf allocates.
 
-The Euler product sieves in segments of _SIEVE_SEGMENT numbers and keeps
-one float64 log per prime, summed whole at the end, so its memory is
-that array plus one segment rather than the whole sieve.
+The Euler product sieves in segments of _SIEVE_SEGMENT numbers, twice:
+once to count the primes, then to stream their logs through the same
+pairwise tree, so its sum keeps the bits of one np.sum over every log
+while its memory stays one segment and one leaf.
 """
 
 from __future__ import annotations
@@ -46,18 +49,17 @@ from .errors import ContractViolation, ResourceLimit
 from .factorization import bit, incomparable_pairs
 
 MC_BLOCK = 1 << 20  # samples per RNG stream
-# rows of a block evaluated at once: the draws and temporaries of a chunk
-# stay in cache, and a (2^20, d) block is never built whole
+# the most values a leaf of ``_tree_sums`` holds: a Monte Carlo leaf's draws
+# and scratch columns stay in cache, and a (2^20, d) block is never built
 _MC_ROWS = 1 << 14
 _PHILOX_WORDS = 4  # 64-bit outputs per Philox counter step, one per double
 
 # The largest prime limit or Monte Carlo sample count admitted.  On a
-# 2-vCPU x86 host the Euler product to 1e8 took 1.1 s and 75 MB peak RSS,
-# of which 46 MB are its one log per prime, so 1e9 should need about 11 s
-# and 450 MB and 1e10 minutes and 4 GB (extrapolated); a sample costs
-# 0.03-0.11 us of CPU per integrand (up to 0.22 us of wall time while
-# glibc's malloc thresholds are at their defaults), so 1e9 samples run
-# for minutes and 1e15 would run for years.
+# 2-vCPU x86 host the Euler product to 1e8 took 0.9 s and 1e9 took 20 s,
+# each within 2 MB of the RSS before the call, so 1e10 would run for
+# minutes; a sample costs 0.03-0.11 us of CPU per integrand, in a fresh
+# process as in a warm one, so 1e9 samples run for minutes and 1e15 would
+# run for years.
 SIZE_CAP = 10 ** 9
 
 
@@ -143,6 +145,60 @@ def zeta_value(n: int) -> tuple[float, float]:
     return s + (hi + lo) / 2, (hi - lo) / 2 + 1e-14
 
 
+# -------------------- pairwise sums over scratch columns --------------------
+
+# numpy's pairwise sum adds a run of at most this many values in one 8-way
+# unrolled loop and splits a longer one at half, rounded down to a multiple
+# of 8, summing both parts the same way
+_PAIRWISE_BLOCK = 128
+
+
+def _tree_sums(leaf: Callable[[int], np.ndarray], n: int,
+               rows: int) -> tuple[float, float]:
+    """Sum and sum of squares of n values, each with the bits of one
+    ``np.sum`` over all of them: a run longer than _PAIRWISE_BLOCK and
+    ``rows`` is split where numpy's pairwise sum splits it, and ``leaf(k)``
+    gives the next k values as a float64 array that is squared in place."""
+    if n <= max(rows, _PAIRWISE_BLOCK):
+        vals = leaf(n)
+        tot = float(vals.sum())
+        np.multiply(vals, vals, out=vals)
+        return tot, float(vals.sum())
+    half = n // 2 - n // 2 % 8
+    tot, totsq = _tree_sums(leaf, half, rows)
+    tot2, totsq2 = _tree_sums(leaf, n - half, rows)
+    return tot + tot2, totsq + totsq2
+
+
+class _Scratch:
+    """Columns of ``rows`` 8-byte values that every ``_tree_sums`` leaf of
+    one call reuses, so that a leaf allocates nothing:
+    ``take(k)`` gives the first k values of the next column, allocated on
+    first use and viewed as any dtype of at most 8 bytes, and ``reset()``
+    starts the next leaf at the first column again and returns the pool."""
+
+    def __init__(self, rows: int) -> None:
+        self.rows = rows
+        self.cols: list[np.ndarray] = []
+        self.used = 0
+
+    def take(self, k: int, dtype: type = np.float64) -> np.ndarray:
+        if self.used == len(self.cols):
+            self.cols.append(np.empty(self.rows))
+        self.used += 1
+        return self.cols[self.used - 1].view(dtype)[:k]
+
+    def copy(self, col: np.ndarray) -> np.ndarray:
+        """A contiguous copy of ``col`` in the next column."""
+        out = self.take(len(col), col.dtype)
+        np.copyto(out, col)
+        return out
+
+    def reset(self) -> _Scratch:
+        self.used = 0
+        return self
+
+
 # ------------------------------ Euler product ------------------------------
 
 def primes_up_to(limit: int) -> np.ndarray:
@@ -156,25 +212,32 @@ def primes_up_to(limit: int) -> np.ndarray:
     return np.nonzero(sieve)[0].astype(np.int64)
 
 
-# numbers sieved at once by ``_prime_segments``: a 256 KB bool segment
+# numbers sieved at once by ``_prime_segments``: 128 KB of bools, one per
+# odd number
 _SIEVE_SEGMENT = 1 << 18
 
 
 def _prime_segments(limit: int) -> Iterator[np.ndarray]:
     """The primes up to ``limit`` as int64 arrays, one per segment of
-    _SIEVE_SEGMENT numbers, in ascending order; each segment is marked
-    with the base primes up to sqrt(limit), so memory stays fixed."""
-    base = [int(p) for p in primes_up_to(math.isqrt(limit))]
+    _SIEVE_SEGMENT numbers, in ascending order; each segment's odd numbers
+    are marked with the odd base primes up to sqrt(limit), so memory stays
+    fixed."""
+    base = [int(p) for p in primes_up_to(math.isqrt(limit))[1:]]
     for lo in range(0, limit + 1, _SIEVE_SEGMENT):
         hi = min(lo + _SIEVE_SEGMENT, limit + 1)
-        mark = np.ones(hi - lo, dtype=bool)
-        mark[:max(0, 2 - lo)] = False
+        first = lo | 1  # mark[i] stands for first + 2 i
+        mark = np.ones((hi - first + 1) // 2, dtype=bool)
+        mark[:first == 1] = False
         for p in base:
             if p * p >= hi:
                 break
             start = max(p * p, -(-lo // p) * p)
-            mark[start - lo::p] = False
-        yield np.flatnonzero(mark).astype(np.int64) + lo
+            start += (start + 1) % 2 * p  # the first odd multiple
+            mark[(start - first) // 2::p] = False
+        primes = np.flatnonzero(mark)
+        primes *= 2
+        primes += first
+        yield np.concatenate(([2], primes)) if lo <= 2 < hi else primes
 
 
 def _density_terms(eulerian: Sequence[int], p: int) -> tuple[int, int]:
@@ -239,22 +302,48 @@ def euler_product(n: int, prime_limit: int) -> EulerProduct:
     _check_size(p_safe, "safety threshold")
     mexp = (1 << n) - n - 1
     eulerian = eulerian_polynomial(n)
-    coeffs = eulerian[::-1]
-    # Every log goes into one array, summed whole at the end: numpy's
-    # pairwise sum then sees the elements, in the order, that summing the
-    # logs of every prime at once gave.  pi(x) < 1.25506 x / ln x for
-    # x > 1 (Rosser and Schoenfeld, 1962) sizes it.
-    logs = np.empty(int(1.25506 * prime_limit / math.log(prime_limit)) + 1)
     size = 0
     between: list[int] = []
     for primes in _prime_segments(p_safe):
         cut = int(np.searchsorted(primes, prime_limit, side="right"))
-        x = 1.0 / primes[:cut].astype(np.float64)
-        logs[size:size + cut] = (mexp * np.log1p(-x) + np.log(np.polyval(coeffs, x))
-                                 + np.log1p(-x ** n))
         size += cut
         between += primes[cut:].tolist()
-    log_value = float(logs[:size].sum())
+    # The logs of the size primes up to prime_limit stream through numpy's
+    # pairwise tree over that many values, which needs size first: a
+    # second sieve hands each leaf its primes, and the sum has the bits of
+    # one np.sum over every log with none of them held.
+    segments = _prime_segments(prime_limit)
+    pending = np.empty(0, dtype=np.int64)
+    pool = _Scratch(min(size, max(_MC_ROWS, _PAIRWISE_BLOCK)))
+
+    def leaf(k: int) -> np.ndarray:
+        nonlocal pending
+        pool.reset()
+        x, a, b = pool.take(k), pool.take(k), pool.take(k)
+        done = 0
+        while done < k:
+            if not len(pending):
+                pending = next(segments)
+            part = x[done:done + len(pending)]
+            np.copyto(part, pending[:len(part)])
+            pending = pending[len(part):]
+            done += len(part)
+        # mexp log1p(-x) + log(P(x)) + log1p(-x^n) for x = 1/p, each step
+        # as numpy's operators and np.polyval's Horner loop take it
+        np.divide(1.0, x, out=x)
+        np.log1p(np.negative(x, out=a), out=a)
+        a *= mexp
+        b[...] = 0.0
+        for c in eulerian[::-1]:
+            b *= x
+            b += c
+        a += np.log(b, out=b)
+        np.copyto(b, x)
+        b **= n
+        a += np.log1p(np.negative(b, out=b), out=b)
+        return a
+
+    log_value = _tree_sums(leaf, size, _MC_ROWS)[0]
     # int / int is correctly rounded, so it is float(local_density(n, p))
     # without reducing the Fraction
     extra = 0.0
@@ -290,27 +379,9 @@ def stream_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-# numpy's pairwise sum adds a run of at most this many values in one 8-way
-# unrolled loop and splits a longer one at half, rounded down to a multiple
-# of 8, summing both parts the same way
-_PAIRWISE_BLOCK = 128
-
-
-def _tree_sums(leaf: Callable[[int], np.ndarray], n: int,
-               rows: int) -> tuple[float, float]:
-    """Sum and sum of squares of n values, each with the bits of one
-    ``np.sum`` over all of them: a run longer than _PAIRWISE_BLOCK and
-    ``rows`` is split where numpy's pairwise sum splits it, and ``leaf(k)``
-    gives the next k values as a new float64 array, squared in place."""
-    if n <= max(rows, _PAIRWISE_BLOCK):
-        vals = leaf(n)
-        tot = float(vals.sum())
-        np.multiply(vals, vals, out=vals)
-        return tot, float(vals.sum())
-    half = n // 2 - n // 2 % 8
-    tot, totsq = _tree_sums(leaf, half, rows)
-    tot2, totsq2 = _tree_sums(leaf, n - half, rows)
-    return tot + tot2, totsq + totsq2
+def _leaf_rows(samples: int) -> int:
+    """The most rows that a leaf of ``mc_mean`` holds at this sample count."""
+    return min(samples, MC_BLOCK, max(_MC_ROWS, _PAIRWISE_BLOCK))
 
 
 def mc_mean(fn: Callable[..., np.ndarray], samples: int, seed: int,
@@ -326,10 +397,15 @@ def mc_mean(fn: Callable[..., np.ndarray], samples: int, seed: int,
     every run holds exactly the rows that drawing the whole block at once
     would give.  The runs' sums combine along numpy's pairwise tree into
     the sums of the whole block, so the estimate does not depend on
-    _MC_ROWS and no array of a block is ever held.
+    _MC_ROWS and no array of a block is ever held.  Every run is drawn
+    into the same buffers with ``Generator.random(out=...)``, which gives
+    the bits of a new (rows, w) draw, and fn may overwrite what it returns;
+    the integrands evaluate into a ``_Scratch`` of their call, so no leaf
+    allocates, and none faults its memory in again under glibc's defaults.
     """
     if samples < 1:
         raise ContractViolation("samples must be >= 1")
+    draws = [np.empty((_leaf_rows(samples), w)) for w in widths]
     done = 0
     stream = 0
     tot = 0.0
@@ -347,7 +423,7 @@ def mc_mean(fn: Callable[..., np.ndarray], samples: int, seed: int,
             skip += count * w
 
         def leaf(rows: int) -> np.ndarray:
-            return fn(*(rng.random((rows, w)) for rng, w in zip(rngs, widths)))
+            return fn(*(rng.random(out=buf[:rows]) for rng, buf in zip(rngs, draws)))
 
         block_tot, block_sq = _tree_sums(leaf, count, _MC_ROWS)
         tot += block_tot
@@ -477,23 +553,28 @@ def polytope_volume(n: int, method: str = "exact",
     rows = [([(pos[h], c) for h, c in coeffs.items() if c], float(const))
             for coeffs, const in constraints]
 
+    pool = _Scratch(_leaf_rows(samples))
+
     def block(*draws: np.ndarray) -> np.ndarray:
+        pool.reset()
+        k = len(draws[0])
+        # every column a contiguous copy in the pool
         if simplex_idx:
             simplex_u, plain_u = draws
-            spacings = _sorted_columns(simplex_u.T)
+            spacings = _sorted_columns(simplex_u.T, pool)
             for i in range(len(spacings) - 1, 0, -1):
                 spacings[i] -= spacings[i - 1]
-            # rows of the transposed copy are contiguous columns
-            plain = plain_u.T.copy()
-            cols = dict(zip(simplex_idx, spacings)) | dict(zip(plain_idx, plain))
+            cols = (dict(zip(simplex_idx, spacings))
+                    | dict(zip(plain_idx, map(pool.copy, plain_u.T))))
         else:
-            cols = dict(enumerate(draws[0].T.copy()))
-        ok = np.ones(len(draws[0]), dtype=bool)
-        term = np.empty(len(ok), dtype=np.float64)
+            cols = dict(enumerate(map(pool.copy, draws[0].T)))
+        ok, hit = pool.take(k, bool), pool.take(k, bool)
+        ok[...] = True
+        acc, term = pool.take(k), pool.take(k)
         for terms, const in rows:
             # a running sum of +-col or +-2 col; every product is exact
             (j, c), *rest = terms
-            acc = c * cols[j]
+            np.multiply(cols[j], c, out=acc)
             for j, c in rest:
                 if c == 1:
                     np.add(acc, cols[j], out=acc)
@@ -501,8 +582,10 @@ def polytope_volume(n: int, method: str = "exact",
                     np.subtract(acc, cols[j], out=acc)
                 else:
                     np.add(acc, np.multiply(cols[j], c, out=term), out=acc)
-            ok &= acc <= const + 1e-15
-        return weight_factor * ok.astype(np.float64)
+            ok &= np.less_equal(acc, const + 1e-15, out=hit)
+        np.copyto(term, ok)
+        term *= weight_factor
+        return term
 
     widths = ((len(simplex_idx), len(plain_idx)) if simplex_idx
               else (len(free),))
@@ -511,16 +594,21 @@ def polytope_volume(n: int, method: str = "exact",
 
 # ------------------------- slab volumes, vectorized -------------------------
 
-def _sorted_columns(cols: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """The columns sorted within each row, ascending, as new contiguous
-    arrays of the input dtype.
+def _sorted_columns(cols: Sequence[np.ndarray],
+                    pool: _Scratch | None = None) -> list[np.ndarray]:
+    """The columns sorted within each row, ascending, as contiguous arrays
+    of the input dtype: columns of ``pool``, or new arrays.
 
     An insertion network of compare-exchanges only permutes each row's
     values, so for input free of NaN and -0.0 this is np.sort(axis=1) of
     the stacked columns, bit for bit, without a per-row sort call.
     """
-    out = [np.array(col) for col in cols]
-    spare = np.empty_like(out[0])
+    if pool is None:
+        out = [np.array(col) for col in cols]
+        spare = np.empty_like(out[0])
+    else:
+        out = [pool.copy(col) for col in cols]
+        spare = pool.take(len(out[0]), out[0].dtype)
     for i in range(1, len(out)):
         for j in range(i, 0, -1):
             np.minimum(out[j - 1], out[j], out=spare)
@@ -529,107 +617,116 @@ def _sorted_columns(cols: Sequence[np.ndarray]) -> list[np.ndarray]:
     return out
 
 
-def _band_area(w1: np.ndarray, w2: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _band_area(w1: np.ndarray, w2: np.ndarray, c: np.ndarray,
+               pool: _Scratch | None = None) -> np.ndarray:
     """Area of {|w1 a + w2 b| <= c} in [-1,1]^2 for w1 >= w2 >= 0: 4 where
     c >= w1 + w2, else 4 c / w1 (4 c if w1 = 0) where c <= w1 - w2, else
-    4 - (w1 + w2 - c)^2 / (w1 w2).  Each form is computed on every row and
-    kept on its own rows, so a division by zero elsewhere is discarded."""
-    total = w1 + w2
-    full = c >= total
-    strip = c <= w1 - w2
+    4 - (w1 + w2 - c)^2 / (w1 w2).  Each form is computed on every row,
+    in columns of ``pool``, and kept on its own rows, so a division by
+    zero elsewhere is discarded."""
+    k = len(w1)
+    pool = pool or _Scratch(k)
+    total = np.add(w1, w2, out=pool.take(k))
+    full = np.greater_equal(c, total, out=pool.take(k, bool))
+    area = np.subtract(w1, w2, out=pool.take(k))
+    strip = np.less_equal(c, area, out=pool.take(k, bool))
     with np.errstate(divide="ignore", invalid="ignore"):
-        area = np.subtract(total, c)
+        np.subtract(total, c, out=area)
         np.multiply(area, area, out=area)
         np.multiply(w1, w2, out=total)
         np.divide(area, total, out=area)
         np.subtract(4.0, area, out=area)
     np.multiply(c, 4.0, out=total)
-    np.divide(total, w1, out=total, where=w1 > 0)
+    np.divide(total, w1, out=total, where=np.greater(w1, 0, out=pool.take(k, bool)))
     np.putmask(area, strip, total)
     np.putmask(area, full, 4.0)
     return area
 
 
-def _rows_where(mask: np.ndarray) -> slice | np.ndarray:
-    """Index of the rows where ``mask`` holds: every row as a slice, so
-    that indexing with it copies nothing, else their positions."""
-    return slice(None) if mask.all() else np.flatnonzero(mask)
+def _positive_power(d: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
+    """max(d, 0)^m into ``out``, np.power(d, m) itself wherever d > 0: the
+    power of |d|, signed as d and cut at 0, as numpy's pow takes 4x as long
+    on 0 and 40x on a negative (AVX-512 host)."""
+    np.absolute(d, out=out)
+    np.power(out, m, out=out)
+    np.copysign(out, d, out=out)
+    return np.maximum(out, 0.0, out=out)
 
 
-def _cube_slab_vec(cols: Sequence[np.ndarray], c: np.ndarray) -> np.ndarray:
+def _cube_slab_vec(cols: Sequence[np.ndarray], c: np.ndarray,
+                   pool: _Scratch | None = None,
+                   ordered: bool = False) -> np.ndarray:
     """Volume of {|sum w_i a_i| <= c} in [-1,1]^m, one value per row, for
     nonnegative weight columns w_1..w_m (``weights.T`` for a 2-D array).
 
     Uses the single-sided corner expansion 2^m (1 - 2 F(t)) with
     t = (sum w - c)/2, which keeps every positive part below sum(w)/2.
-    Everything runs on whole columns: the weights are sorted by
-    ``_sorted_columns``, each corner's shift is the shift of the
-    corner without its top weight plus that weight, and the sum and
-    product of the weights are taken largest first, as numpy's axis-1
-    sum (for m < 8) and product of the sorted rows add and multiply.
+    Everything runs on whole columns, in columns of ``pool``: the weights
+    are sorted by ``_sorted_columns`` (or taken as given if ``ordered``
+    says each row is already nonincreasing), each corner's shift is the
+    shift of the corner without its top weight plus that weight, and the
+    sum and product of the weights are taken largest first, as numpy's
+    axis-1 sum (for m < 8) and product of the sorted rows add and multiply.
     A zero weight leaves its coordinate free: such rows are the slab of
     their positive weights times 2 per zero weight.
     """
     c = np.asarray(c, dtype=np.float64)
-    w = _sorted_columns(cols)[::-1]
+    k = len(cols[0])
+    pool = pool or _Scratch(k)
+    w = list(cols) if ordered else _sorted_columns(cols, pool)[::-1]
     m = len(w)
     if m == 2:
-        return _band_area(w[0], w[1], c)
-    total = w[0]
-    prod = w[0]
+        return _band_area(w[0], w[1], c, pool)
+    total, prod = pool.copy(w[0]), pool.copy(w[0])
     for col in w[1:]:
-        total = total + col
-        prod = prod * col
-    t = np.subtract(total, c)
+        total += col
+        prod *= col
+    t = np.subtract(total, c, out=total)
     t /= 2
-    np.maximum(t, 0.0, out=t)
-    # A corner term max(t - shift, 0)^m is 0 wherever t <= shift, and
-    # numpy's pow is slow on 0 (4x on an AVX-512 host): each term is
-    # raised and added on its positive rows only, which leaves every other
-    # row's sum as it was.
-    live = _rows_where(t > 0)
-    t_live = t[live]
-    w_live = [col[live] for col in w]
-    acc = t_live ** m
+    # A corner term max(t - shift, 0)^m adds exactly 0 wherever t <= shift,
+    # so every row's sum is the one taken over its positive terms alone,
+    # and a row with t <= 0 (where the expansion is 0) sums to 0.
+    acc = _positive_power(t, m, pool.take(k))
+    d, term = pool.take(k), pool.take(k)
     # At m = 3 with c >= 0, t <= fl(total)/2 <= shift at corners 3, 5 and
     # 7, which add nothing: rounding is monotone and doubling exact, so
     # fl(total) <= 2 fl(w_0 + w_1) as w_2 <= w_0, fl(total) <= fl(2 w_0 +
     # w_2) <= 2 fl(w_0 + w_2) as w_1 <= w_0, and corner 7's shift is fl(total).
-    skip = (3, 5, 7) if m == 3 and (c >= 0).all() else ()
-    shifts = [0.0]
+    skip = (3, 5, 7) if m == 3 and c.min(initial=0.0) >= 0 else ()
+    shifts: list = [0.0]
     for mask in range(1, 1 << m):
         if mask in skip:  # so is every corner built on it
             shifts.append(None)
             continue
         top = mask.bit_length() - 1
-        shifts.append(shifts[mask ^ (1 << top)] + w_live[top])
-        d = t_live - shifts[mask]
-        pos = _rows_where(d > 0)
-        term = d[pos]
-        np.power(term, m, out=term)
+        below = mask ^ (1 << top)
+        # a single weight's shift 0 + w is w itself
+        shifts.append(np.add(shifts[below], w[top], out=pool.take(k)) if below
+                      else w[top])
+        if np.subtract(t, shifts[mask], out=d).max(initial=0.0) <= 0:
+            continue  # a zero term on every row
+        _positive_power(d, m, out=term)
         if bin(mask).count("1") & 1:
-            acc[pos] -= term
+            acc -= term
         else:
-            acc[pos] += term
-    if not isinstance(live, slice):
-        acc_live, acc = acc, np.zeros_like(t)
-        acc[live] = acc_live
-    denom = math.factorial(m) * prod
-    zero = np.flatnonzero(w[-1] <= 0)
-    denom[zero] = 1.0  # these rows are redone below
+            acc += term
+    denom = np.multiply(prod, math.factorial(m), out=prod)
+    zero = np.less_equal(w[-1], 0, out=pool.take(k, bool))
+    np.putmask(denom, zero, 1.0)  # these rows are redone below
     # vol = 2^m (1 - 2 clip(acc / denom, 0, 1/2)), in place
     vol = np.clip(np.divide(acc, denom, out=acc), 0.0, 0.5, out=acc)
     vol *= 2.0
     np.subtract(1.0, vol, out=vol)
     vol *= 2.0 ** m
-    if zero.size:
+    if zero.any():
+        zero = np.flatnonzero(zero)
         c_all = np.broadcast_to(c, vol.shape)
         positive = sum(col[zero] > 0 for col in w)
-        for k in range(m):
-            rows = zero[positive == k]
-            inner = (_cube_slab_vec([col[rows] for col in w[:k]], c_all[rows]) if k
+        for j in range(m):
+            rows = zero[positive == j]
+            inner = (_cube_slab_vec([col[rows] for col in w[:j]], c_all[rows]) if j
                      else np.where(c_all[rows] >= 0, 1.0, 0.0))
-            vol[rows] = 2.0 ** (m - k) * inner
+            vol[rows] = 2.0 ** (m - j) * inner
     return vol
 
 
@@ -641,19 +738,24 @@ class QuadratureEstimate:
     error_bound: float
 
 
-def _running_products(t: np.ndarray) -> list[np.ndarray]:
+def _running_products(t: np.ndarray, pool: _Scratch | None = None) -> list[np.ndarray]:
     """Columns p_i = p_{i-1} t_i, p_1 = t_1: np.cumprod(t, axis=1)
-    column by column, with the same multiplications."""
-    prods = [t[:, 0].copy()]
+    column by column, with the same multiplications, in columns of
+    ``pool``.  For t in [0, 1] they are nonincreasing in every row:
+    fl(x u) <= x for 0 <= u <= 1, as rounding is monotone."""
+    pool = pool or _Scratch(len(t))
+    prods = [pool.copy(t[:, 0])]
     for i in range(1, t.shape[1]):
-        prods.append(prods[-1] * t[:, i])
+        prods.append(np.multiply(prods[-1], t[:, i], out=pool.take(len(t))))
     return prods
 
 
-def _beta_integrand(n: int, u: np.ndarray) -> np.ndarray:
+def _beta_integrand(n: int, u: np.ndarray, pool: _Scratch | None = None) -> np.ndarray:
     """Slab volume with weights (u1, u1 u2, ..., prod u) and bound 1 for
-    rows u of shape (count, n-1)."""
-    return _cube_slab_vec(_running_products(u), np.ones(len(u)))
+    rows u of shape (count, n-1) in [0, 1]; the running products are
+    already nonincreasing, so the slab takes them unsorted."""
+    return _cube_slab_vec(_running_products(u, pool), np.broadcast_to(1.0, len(u)),
+                          pool, ordered=True)
 
 
 # The finest beta tolerance admitted.  Where err <= tol * area never holds,
@@ -730,7 +832,8 @@ def beta_tilde(n: int, tol: float = 1e-8, samples: int = 10 ** 7,
             return _band_area(u1, u1 * u2, np.ones_like(u1))
         return _adaptive_square(f, tol)
 
-    return mc_mean(lambda u: _beta_integrand(n, u), samples, seed, (n - 1,))
+    pool = _Scratch(_leaf_rows(samples))
+    return mc_mean(lambda u: _beta_integrand(n, u, pool.reset()), samples, seed, (n - 1,))
 
 
 # ------------------------------ mu infinity ------------------------------
@@ -755,9 +858,14 @@ def mu_infinity(n: int, samples: int = 10 ** 7, seed: int = 0) -> MCEstimate:
         raise ResourceLimit("Monte Carlo density supported for n in {3, 4}")
     scale = float(mu_infinity_scale(n))
 
+    pool = _Scratch(_leaf_rows(samples))
+
     def block(t: np.ndarray) -> np.ndarray:
-        prods = _running_products(t)
-        vol = _cube_slab_vec([np.ones(len(t))] + prods[:-1], prods[-1])
+        pool.reset()
+        prods = _running_products(t, pool)
+        # the weights 1 >= t_1 >= t_1 t_2 >= ... need no sort
+        vol = _cube_slab_vec([np.broadcast_to(1.0, len(t))] + prods[:-1], prods[-1],
+                             pool, ordered=True)
         vol *= scale  # scale * vol / max(prod, 1e-300), in place
         vol /= np.maximum(prods[-1], 1e-300, out=prods[-1])
         return vol

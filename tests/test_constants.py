@@ -1,8 +1,12 @@
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -164,16 +168,71 @@ def test_euler_product_encloses_past_the_float_range():
 
 
 def test_euler_product_memory_is_fixed_per_segment():
-    # the whole-range sieve peaked at 13.6 MB here (the bool sieve, the
-    # int64 primes and float temporaries over every prime); the segmented
-    # one keeps one log per prime and a segment's temporaries
-    tracemalloc.start()
+    # the whole-range sieve peaked at 13.6 MB at 4e6 (the bool sieve, the
+    # int64 primes and float temporaries over every prime), and one log per
+    # prime at 5.3-6.6 MB; the streamed sum holds one segment's primes and
+    # one leaf's logs, 1.1-1.2 MB at either limit
+    for limit in (4 * 10 ** 6, 3 * 10 ** 7):
+        tracemalloc.start()
+        try:
+            euler_product(3, limit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6, limit
+
+
+def _euler_whole_array(n, prime_limit):
+    """``euler_product`` as it was computed with the log of every prime up
+    to prime_limit in one array, summed whole: the streamed sum's oracle."""
+    q = constants._density_poly(n)
+    m_const = float(sum(abs(c) * Fraction(1, 2) ** (k - 2)
+                        for k, c in enumerate(q) if k >= 2)) * (1 + 1e-12)
+    p_safe = max(prime_limit, math.isqrt(math.ceil(2 * m_const)) + 1)
+    mexp = (1 << n) - n - 1
+    eulerian = eulerian_polynomial(n)
+    coeffs = eulerian[::-1]
+    logs = np.empty(int(1.25506 * prime_limit / math.log(prime_limit)) + 1)
+    size = 0
+    between = []
+    for primes in constants._prime_segments(p_safe):
+        cut = int(np.searchsorted(primes, prime_limit, side="right"))
+        x = 1.0 / primes[:cut].astype(np.float64)
+        logs[size:size + cut] = (mexp * np.log1p(-x) + np.log(np.polyval(coeffs, x))
+                                 + np.log1p(-x ** n))
+        size += cut
+        between += primes[cut:].tolist()
+    log_value = float(logs[:size].sum())
+    extra = 0.0
+    for p in between:
+        num, den = constants._density_terms(eulerian, p)
+        extra += math.log(num / den)
+    rest = 2.0 * m_const / p_safe
+    slack = (size + len(between) + 10) * 1e-15
     try:
-        euler_product(3, 4 * 10 ** 6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 6.8e6
+        upper = math.exp(log_value + extra + rest + slack)
+    except OverflowError:
+        upper = math.inf
+    return (math.exp(log_value), math.exp(log_value + extra - rest - slack), upper)
+
+
+EULER_PRIMES = primes_by_sieve(200_000)
+
+
+@pytest.mark.parametrize("rows", [3, constants._MC_ROWS])
+def test_streamed_euler_sum_matches_the_whole_array(monkeypatch, rows):
+    # pi(limit) runs over 1..300, where leaves of at most 128 logs split the
+    # tree from 129 on, and around 2^14 logs, the first split of full leaves
+    monkeypatch.setattr(constants, "_MC_ROWS", rows)
+    counts = (range(1, 301) if rows == 3
+              else [(1 << 14) + d for d in (-9, -8, -1, 0, 1, 8, 9)])
+    for k in counts:
+        limit = EULER_PRIMES[k - 1]
+        for n in (3, 4):
+            e = euler_product(n, limit)
+            want = _euler_whole_array(n, limit)
+            assert [v.hex() for v in (e.value, e.lower, e.upper)] == \
+                [v.hex() for v in want], (n, limit)
 
 
 def test_polytope_dimensions_and_constraints():
@@ -254,6 +313,26 @@ def test_sorted_columns_match_np_sort(m):
     ints[:20] %= 3
     got = np.column_stack(constants._sorted_columns(ints.T))
     assert got.dtype == np.int64 and np.array_equal(got, np.sort(ints, axis=1))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_running_products_need_no_sort(m):
+    # fl(x u) <= x for 0 <= u <= 1, so running products of draws are
+    # nonincreasing in every row, and the slab kernels may skip the sort
+    rng = np.random.default_rng(60 + m)
+    u = rng.random((3000, m))
+    u[:100, 1:] = 1.0                    # equal products
+    u[100:200, -1] = 0.0                 # a zero weight
+    u[200:300, 0] = 2.0 ** -53           # the smallest positive draw
+    u[300:400] = 1.0 - 2.0 ** -53        # the largest draw
+    prods = constants._running_products(u)
+    ones = np.ones(len(u))
+    for cols, c in ((prods, ones), ([ones] + prods[:-1], prods[-1])):
+        assert all((a >= b).all() for a, b in zip(cols, cols[1:]))
+        got = _cube_slab_vec(cols, c, ordered=True)
+        assert got.tobytes() == _cube_slab_vec(cols, c).tobytes()
+    want = _cube_slab_vec(prods, ones)
+    assert constants._beta_integrand(m + 1, u).tobytes() == want.tobytes()
 
 
 def test_cube_slab_vectorized_matches_exact():
@@ -414,10 +493,40 @@ def test_monte_carlo_holds_no_block_buffer(monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(MC_INTEGRANDS))
 def test_monte_carlo_memory_stays_below_a_block(name):
-    # a block buffer alone would take 8 MB; the leaves' draws and
-    # temporaries took 1.5-3.3 MB
+    # a block buffer alone would take 8 MB; the leaves' draws and one
+    # call's scratch columns take 1.5-3.4 MiB
     _, peak = _traced_peak(lambda: MC_INTEGRANDS[name](2 ** 20 + 5, 0))
     assert peak < 5 << 20
+
+
+FAULTS_CODE = """
+import resource, sys
+from hypercount import constants
+call = {"mu_infinity": lambda s: constants.mu_infinity(3, s, 0),
+        "polytope": lambda s: constants.polytope_volume(4, "mc", s, 0)}[sys.argv[1]]
+call(2 ** 10)  # first-use costs
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+call(int(sys.argv[2]))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux fault counts")
+@pytest.mark.parametrize("name", ["mu_infinity", "polytope"])
+def test_monte_carlo_faults_do_not_grow_with_samples(name):
+    # In a fresh process glibc's malloc thresholds are at their defaults,
+    # so a leaf that allocated its temporaries would have them trimmed and
+    # faulted in again, about 210 faults a leaf; leaves that reuse one
+    # call's scratch columns add none, whatever the sample count.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(constants.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+
+    def faults(samples):
+        out = subprocess.run([sys.executable, "-c", FAULTS_CODE, name, str(samples)],
+                             env=env, capture_output=True, text=True, check=True)
+        return int(out.stdout)
+
+    assert faults(2 ** 20) - faults(2 ** 15) < 2000
 
 
 def _tree_leaves(a, rows):
