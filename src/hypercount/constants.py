@@ -25,14 +25,12 @@ any sum.  The integrands work on whole columns: a compare-exchange
 network stands in for numpy's per-row sort, running products for its
 cumprod and running sums of columns for the polytope's row products, and
 every sum and product keeps numpy's order or is exact, so each value has
-the bits the row-wise code gave.  Each call draws and evaluates its leaves
-in buffers and scratch columns (``_Scratch``) that it allocates once, so
-no leaf allocates.
+the bits the row-wise code gave.  No leaf allocates: each call draws and
+evaluates its leaves in buffers and columns (``_Scratch``) of its own.
 
-The Euler product sieves in segments of _SIEVE_SEGMENT numbers, twice:
-once to count the primes, then to stream their logs through the same
-pairwise tree, so its sum keeps the bits of one np.sum over every log
-while its memory stays one segment and one leaf.
+The Euler product sieves in segments of _SIEVE_SEGMENT numbers twice, to
+count the primes and then to stream their logs through the same pairwise
+tree, so its memory stays one segment and one leaf.
 """
 
 from __future__ import annotations
@@ -55,8 +53,8 @@ _MC_ROWS = 1 << 14
 _PHILOX_WORDS = 4  # 64-bit outputs per Philox counter step, one per double
 
 # The largest prime limit or Monte Carlo sample count admitted.  On a
-# 2-vCPU x86 host the Euler product to 1e8 took 0.9 s and 1e9 took 20 s,
-# each within 2 MB of the RSS before the call, so 1e10 would run for
+# 2-vCPU x86 host the Euler product to 1e8 took 0.8 s and 1e9 took 17 s,
+# each within 1 MB of the RSS before the call, so 1e10 would run for
 # minutes; a sample costs 0.03-0.11 us of CPU per integrand, in a fresh
 # process as in a warm one, so 1e9 samples run for minutes and 1e15 would
 # run for years.
@@ -143,60 +141,6 @@ def zeta_value(n: int) -> tuple[float, float]:
     hi = terms ** (1 - n) / (n - 1)
     lo = (terms + 1) ** (1 - n) / (n - 1)
     return s + (hi + lo) / 2, (hi - lo) / 2 + 1e-14
-
-
-# -------------------- pairwise sums over scratch columns --------------------
-
-# numpy's pairwise sum adds a run of at most this many values in one 8-way
-# unrolled loop and splits a longer one at half, rounded down to a multiple
-# of 8, summing both parts the same way
-_PAIRWISE_BLOCK = 128
-
-
-def _tree_sums(leaf: Callable[[int], np.ndarray], n: int,
-               rows: int) -> tuple[float, float]:
-    """Sum and sum of squares of n values, each with the bits of one
-    ``np.sum`` over all of them: a run longer than _PAIRWISE_BLOCK and
-    ``rows`` is split where numpy's pairwise sum splits it, and ``leaf(k)``
-    gives the next k values as a float64 array that is squared in place."""
-    if n <= max(rows, _PAIRWISE_BLOCK):
-        vals = leaf(n)
-        tot = float(vals.sum())
-        np.multiply(vals, vals, out=vals)
-        return tot, float(vals.sum())
-    half = n // 2 - n // 2 % 8
-    tot, totsq = _tree_sums(leaf, half, rows)
-    tot2, totsq2 = _tree_sums(leaf, n - half, rows)
-    return tot + tot2, totsq + totsq2
-
-
-class _Scratch:
-    """Columns of ``rows`` 8-byte values that every ``_tree_sums`` leaf of
-    one call reuses, so that a leaf allocates nothing:
-    ``take(k)`` gives the first k values of the next column, allocated on
-    first use and viewed as any dtype of at most 8 bytes, and ``reset()``
-    starts the next leaf at the first column again and returns the pool."""
-
-    def __init__(self, rows: int) -> None:
-        self.rows = rows
-        self.cols: list[np.ndarray] = []
-        self.used = 0
-
-    def take(self, k: int, dtype: type = np.float64) -> np.ndarray:
-        if self.used == len(self.cols):
-            self.cols.append(np.empty(self.rows))
-        self.used += 1
-        return self.cols[self.used - 1].view(dtype)[:k]
-
-    def copy(self, col: np.ndarray) -> np.ndarray:
-        """A contiguous copy of ``col`` in the next column."""
-        out = self.take(len(col), col.dtype)
-        np.copyto(out, col)
-        return out
-
-    def reset(self) -> _Scratch:
-        self.used = 0
-        return self
 
 
 # ------------------------------ Euler product ------------------------------
@@ -302,6 +246,7 @@ def euler_product(n: int, prime_limit: int) -> EulerProduct:
     _check_size(p_safe, "safety threshold")
     mexp = (1 << n) - n - 1
     eulerian = eulerian_polynomial(n)
+    coeffs = eulerian[::-1]
     size = 0
     between: list[int] = []
     for primes in _prime_segments(p_safe):
@@ -314,35 +259,16 @@ def euler_product(n: int, prime_limit: int) -> EulerProduct:
     # one np.sum over every log with none of them held.
     segments = _prime_segments(prime_limit)
     pending = np.empty(0, dtype=np.int64)
-    pool = _Scratch(min(size, max(_MC_ROWS, _PAIRWISE_BLOCK)))
 
     def leaf(k: int) -> np.ndarray:
         nonlocal pending
-        pool.reset()
-        x, a, b = pool.take(k), pool.take(k), pool.take(k)
-        done = 0
-        while done < k:
-            if not len(pending):
-                pending = next(segments)
-            part = x[done:done + len(pending)]
-            np.copyto(part, pending[:len(part)])
-            pending = pending[len(part):]
-            done += len(part)
-        # mexp log1p(-x) + log(P(x)) + log1p(-x^n) for x = 1/p, each step
-        # as numpy's operators and np.polyval's Horner loop take it
-        np.divide(1.0, x, out=x)
-        np.log1p(np.negative(x, out=a), out=a)
-        a *= mexp
-        b[...] = 0.0
-        for c in eulerian[::-1]:
-            b *= x
-            b += c
-        a += np.log(b, out=b)
-        np.copyto(b, x)
-        b **= n
-        a += np.log1p(np.negative(b, out=b), out=b)
-        return a
+        while len(pending) < k:
+            pending = np.concatenate((pending, next(segments)))
+        x, pending = 1.0 / pending[:k], pending[k:]
+        return (mexp * np.log1p(-x) + np.log(np.polyval(coeffs, x))
+                + np.log1p(-x ** n))
 
+    # _tree_sums also squares and sums every log, a sum left unused here
     log_value = _tree_sums(leaf, size, _MC_ROWS)[0]
     # int / int is correctly rounded, so it is float(local_density(n, p))
     # without reducing the Fraction
@@ -379,6 +305,55 @@ def stream_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+# numpy's pairwise sum adds a run of at most this many values in one 8-way
+# unrolled loop and splits a longer one at half, rounded down to a multiple
+# of 8, summing both parts the same way
+_PAIRWISE_BLOCK = 128
+
+
+def _tree_sums(leaf: Callable[[int], np.ndarray], n: int,
+               rows: int) -> tuple[float, float]:
+    """Sum and sum of squares of n values, each with the bits of one
+    ``np.sum`` over all of them: a run longer than _PAIRWISE_BLOCK and
+    ``rows`` is split where numpy's pairwise sum splits it, and ``leaf(k)``
+    gives the next k values as a float64 array that is squared in place."""
+    if n <= max(rows, _PAIRWISE_BLOCK):
+        vals = leaf(n)
+        tot = float(vals.sum())
+        np.multiply(vals, vals, out=vals)
+        return tot, float(vals.sum())
+    half = n // 2 - n // 2 % 8
+    tot, totsq = _tree_sums(leaf, half, rows)
+    tot2, totsq2 = _tree_sums(leaf, n - half, rows)
+    return tot + tot2, totsq + totsq2
+
+
+class _Scratch:
+    """Columns of ``rows`` 8-byte values that every leaf of one call reuses:
+    ``take(k)`` views the first k values of the next column as any dtype of
+    at most 8 bytes, and ``reset()`` starts the next leaf at the first."""
+
+    def __init__(self, rows: int) -> None:
+        self.rows = rows
+        self.cols: list[np.ndarray] = []
+        self.used = 0
+
+    def take(self, k: int, dtype: type = np.float64) -> np.ndarray:
+        if self.used == len(self.cols):
+            self.cols.append(np.empty(self.rows))
+        self.used += 1
+        return self.cols[self.used - 1].view(dtype)[:k]
+
+    def copy(self, col: np.ndarray) -> np.ndarray:
+        out = self.take(len(col), col.dtype)
+        np.copyto(out, col)
+        return out
+
+    def reset(self) -> _Scratch:
+        self.used = 0
+        return self
+
+
 def _leaf_rows(samples: int) -> int:
     """The most rows that a leaf of ``mc_mean`` holds at this sample count."""
     return min(samples, MC_BLOCK, max(_MC_ROWS, _PAIRWISE_BLOCK))
@@ -398,10 +373,8 @@ def mc_mean(fn: Callable[..., np.ndarray], samples: int, seed: int,
     would give.  The runs' sums combine along numpy's pairwise tree into
     the sums of the whole block, so the estimate does not depend on
     _MC_ROWS and no array of a block is ever held.  Every run is drawn
-    into the same buffers with ``Generator.random(out=...)``, which gives
-    the bits of a new (rows, w) draw, and fn may overwrite what it returns;
-    the integrands evaluate into a ``_Scratch`` of their call, so no leaf
-    allocates, and none faults its memory in again under glibc's defaults.
+    into the same buffers, ``Generator.random(out=...)`` having the bits of
+    a new (rows, w) draw, and fn may overwrite them and what it returns.
     """
     if samples < 1:
         raise ContractViolation("samples must be >= 1")
@@ -603,12 +576,9 @@ def _sorted_columns(cols: Sequence[np.ndarray],
     values, so for input free of NaN and -0.0 this is np.sort(axis=1) of
     the stacked columns, bit for bit, without a per-row sort call.
     """
-    if pool is None:
-        out = [np.array(col) for col in cols]
-        spare = np.empty_like(out[0])
-    else:
-        out = [pool.copy(col) for col in cols]
-        spare = pool.take(len(out[0]), out[0].dtype)
+    out = [np.array(col) if pool is None else pool.copy(col) for col in cols]
+    spare = (np.empty_like(out[0]) if pool is None
+             else pool.take(len(out[0]), out[0].dtype))
     for i in range(1, len(out)):
         for j in range(i, 0, -1):
             np.minimum(out[j - 1], out[j], out=spare)
@@ -653,27 +623,25 @@ def _positive_power(d: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
     return np.maximum(out, 0.0, out=out)
 
 
-def _cube_slab_vec(cols: Sequence[np.ndarray], c: np.ndarray,
-                   pool: _Scratch | None = None,
-                   ordered: bool = False) -> np.ndarray:
+def _cube_slab_vec(w: Sequence[np.ndarray], c: np.ndarray,
+                   pool: _Scratch | None = None) -> np.ndarray:
     """Volume of {|sum w_i a_i| <= c} in [-1,1]^m, one value per row, for
-    nonnegative weight columns w_1..w_m (``weights.T`` for a 2-D array).
+    weight columns w_1 >= ... >= w_m >= 0 in every row
+    (``_sorted_columns(weights.T)[::-1]`` for a 2-D array).
 
     Uses the single-sided corner expansion 2^m (1 - 2 F(t)) with
     t = (sum w - c)/2, which keeps every positive part below sum(w)/2.
-    Everything runs on whole columns, in columns of ``pool``: the weights
-    are sorted by ``_sorted_columns`` (or taken as given if ``ordered``
-    says each row is already nonincreasing), each corner's shift is the
-    shift of the corner without its top weight plus that weight, and the
-    sum and product of the weights are taken largest first, as numpy's
-    axis-1 sum (for m < 8) and product of the sorted rows add and multiply.
+    Everything runs on whole columns, in columns of ``pool``: each
+    corner's shift is the shift of the corner without its top weight plus
+    that weight, and the sum and product of the weights are taken largest
+    first, as numpy's axis-1 sum (for m < 8) and product of the sorted rows
+    add and multiply.
     A zero weight leaves its coordinate free: such rows are the slab of
     their positive weights times 2 per zero weight.
     """
     c = np.asarray(c, dtype=np.float64)
-    k = len(cols[0])
+    k = len(w[0])
     pool = pool or _Scratch(k)
-    w = list(cols) if ordered else _sorted_columns(cols, pool)[::-1]
     m = len(w)
     if m == 2:
         return _band_area(w[0], w[1], c, pool)
@@ -754,8 +722,8 @@ def _beta_integrand(n: int, u: np.ndarray, pool: _Scratch | None = None) -> np.n
     """Slab volume with weights (u1, u1 u2, ..., prod u) and bound 1 for
     rows u of shape (count, n-1) in [0, 1]; the running products are
     already nonincreasing, so the slab takes them unsorted."""
-    return _cube_slab_vec(_running_products(u, pool), np.broadcast_to(1.0, len(u)),
-                          pool, ordered=True)
+    ones = np.broadcast_to(1.0, len(u))
+    return _cube_slab_vec(_running_products(u, pool), ones, pool)
 
 
 # The finest beta tolerance admitted.  Where err <= tol * area never holds,
@@ -864,8 +832,7 @@ def mu_infinity(n: int, samples: int = 10 ** 7, seed: int = 0) -> MCEstimate:
         pool.reset()
         prods = _running_products(t, pool)
         # the weights 1 >= t_1 >= t_1 t_2 >= ... need no sort
-        vol = _cube_slab_vec([np.broadcast_to(1.0, len(t))] + prods[:-1], prods[-1],
-                             pool, ordered=True)
+        vol = _cube_slab_vec([np.broadcast_to(1.0, len(t))] + prods[:-1], prods[-1], pool)
         vol *= scale  # scale * vol / max(prod, 1e-300), in place
         vol /= np.maximum(prods[-1], 1e-300, out=prods[-1])
         return vol

@@ -171,7 +171,7 @@ def test_euler_product_memory_is_fixed_per_segment():
     # the whole-range sieve peaked at 13.6 MB at 4e6 (the bool sieve, the
     # int64 primes and float temporaries over every prime), and one log per
     # prime at 5.3-6.6 MB; the streamed sum holds one segment's primes and
-    # one leaf's logs, 1.1-1.2 MB at either limit
+    # one leaf's logs, 0.9-1.2 MB at either limit
     for limit in (4 * 10 ** 6, 3 * 10 ** 7):
         tracemalloc.start()
         try:
@@ -315,6 +315,12 @@ def test_sorted_columns_match_np_sort(m):
     assert got.dtype == np.int64 and np.array_equal(got, np.sort(ints, axis=1))
 
 
+def _slab(weights, c):
+    """``_cube_slab_vec`` on the rows of ``weights``, sorted nonincreasing
+    first, as the kernel takes its columns."""
+    return _cube_slab_vec(constants._sorted_columns(weights.T)[::-1], c)
+
+
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_running_products_need_no_sort(m):
     # fl(x u) <= x for 0 <= u <= 1, so running products of draws are
@@ -327,11 +333,9 @@ def test_running_products_need_no_sort(m):
     u[300:400] = 1.0 - 2.0 ** -53        # the largest draw
     prods = constants._running_products(u)
     ones = np.ones(len(u))
-    for cols, c in ((prods, ones), ([ones] + prods[:-1], prods[-1])):
+    for cols in (prods, [ones] + prods[:-1]):
         assert all((a >= b).all() for a, b in zip(cols, cols[1:]))
-        got = _cube_slab_vec(cols, c, ordered=True)
-        assert got.tobytes() == _cube_slab_vec(cols, c).tobytes()
-    want = _cube_slab_vec(prods, ones)
+    want = _slab(np.column_stack(prods), ones)
     assert constants._beta_integrand(m + 1, u).tobytes() == want.tobytes()
 
 
@@ -342,7 +346,7 @@ def test_cube_slab_vectorized_matches_exact():
         c = rng.uniform(0.0, 2.5, size=60)
         w[:5] = w[:5, :1]                    # equal weights
         c[5:10] = w[5:10].sum(axis=1) * rng.uniform(1.0, 2.0, size=5)  # c >= sum w
-        got = _cube_slab_vec(w.T, c)
+        got = _slab(w, c)
         # the corner expansion loses ~eps * t^m/(m! prod w) to cancellation;
         # with these weight floors 1e-7 dominates it
         tol_abs = 1e-12 if m == 2 else 1e-7
@@ -360,7 +364,7 @@ def test_zero_weights_leave_their_coordinates_free(m):
     w[0] = 0.0
     c = rng.uniform(0.0, 1.5, size=40)
     c[:3] = 0.0
-    got = _cube_slab_vec(w.T, c)
+    got = _slab(w, c)
     for i in range(40):
         nonzero = [float(v) for v in w[i] if v > 0]
         exact = (2.0 ** (m - len(nonzero))
@@ -370,7 +374,7 @@ def test_zero_weights_leave_their_coordinates_free(m):
 
 def test_zero_weight_examples():
     w = np.array([[1.0, 0.5, 0.0], [1.0, 0.5, 0.0]])
-    got = _cube_slab_vec(w.T, np.array([0.3, 0.0]))
+    got = _slab(w, np.array([0.3, 0.0]))
     assert got[0] == pytest.approx(2.4)  # 2 * area of |a + b/2| <= 0.3
     assert got[1] == 0.0
 
@@ -395,7 +399,7 @@ SLAB_PINNED = {
 @pytest.mark.parametrize("m", sorted(SLAB_PINNED))
 def test_cube_slab_matches_pinned_bits(m):
     w, c = _slab_rows(m)
-    got = _cube_slab_vec(w.T, c)
+    got = _slab(w, c)
     digest = hashlib.sha256(got.astype("<f8").tobytes()).hexdigest()
     assert (digest, got[0].hex()) == SLAB_PINNED[m]
 
@@ -639,7 +643,7 @@ def test_cube_slab_keeps_every_row_of_the_full_corner_expansion(m):
              (np.full((200, m), 0.3), np.zeros(200)),         # every row hit
              (np.ones((3, m)), np.full(3, -0.5))]
     for weights, bound in cases:
-        got = _cube_slab_vec(weights.T, bound)
+        got = _slab(weights, bound)
         want = _slab_every_corner(weights.T, bound)
         assert got.tobytes() == want.tobytes()
 
